@@ -4,91 +4,13 @@ Construction and mechanical verification of 2-dimensional loops defined by
 polynomial data: loop axioms, properness, commutativity, and identification
 of the multiplication group through transversal and generation certificates.
 All arithmetic is exact over the rationals.
+
+The top level exports the names of the README library example; everything
+else is imported from its submodule (exact, algebra, group, loop, mult, cli).
 """
 
-from .algebra import (
-    AlgebraElement,
-    LinearMap,
-    NotClosedError,
-    SubalgebraBasis,
-    SubalgebraForm,
-    basis_element,
-    bracket,
-    classify_subalgebra,
-    core_ideal,
-    full_algebra,
-    inn_subalgebra,
-    is_bracket_automorphism,
-    lower_central_series,
-    phi_automorphism,
-    subalgebra_closure,
-    zero_element,
-)
-from .exact import (
-    LinearSolution,
-    Poly,
-    PolyKind,
-    RatMatrix,
-    Rational,
-    linear_solve,
-    nest_inner,
-    nest_outer,
-    nullspace,
-    rational_from_str,
-    rational_to_str,
-    row_space_basis,
-)
-from .group import (
-    CoordinateError,
-    GroupElement,
-    PatternMatchError,
-    commutator,
-    decompose,
-    gexp,
-    ginv,
-    glog,
-    gmul,
-    h_element,
-    in_H,
-    to_matrix,
-)
-from .loop import (
-    CommMatrix,
-    LoopPoint,
-    LoopSpec,
-    SpecError,
-    SpecReport,
-    comm_defect,
-    coset_representative,
-    is_commutative,
-    ldiv,
-    left_translation,
-    lmul,
-    rdiv,
-    section_sharply_transitive,
-    section_solve,
-    spec_from_comm_matrix,
-    validate_spec,
-)
-from .mult import (
-    Certificate,
-    CompanionSolution,
-    HConnectedness,
-    LeftTranslationFamily,
-    MultReport,
-    SampleGrid,
-    StabilizationError,
-    TransversalSpec,
-    check_h_connected,
-    companion_residual,
-    generated_subalgebra_of,
-    h_connected_transversal,
-    inn_correspondence_check,
-    left_translation_elements,
-    mult_group_dimension,
-    mult_group_report,
-    solve_companions,
-    transversal_elements,
-)
+from .exact import Poly
+from .loop import LoopPoint, LoopSpec, lmul
+from .mult import mult_group_report, solve_companions
 
 __version__ = "0.1.0"

@@ -307,10 +307,6 @@ class LinearMap:
         return SubalgebraBasis.span(self.n, [self.apply(b) for b in v.basis])
 
 
-def identity_map(n: int) -> LinearMap:
-    return LinearMap(n, RatMatrix.identity(n + 2))
-
-
 def phi_automorphism(a: Sequence[Fraction]) -> LinearMap:
     """The straightening automorphism attached to the parameter vector a.
 

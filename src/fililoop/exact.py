@@ -9,8 +9,7 @@ represented as a :class:`Poly` in the outer variable whose coefficients are
 again ``Poly`` values in the inner variable (see :func:`nest_outer` and
 :func:`nest_inner`), so checking a two-variable identity reduces to all
 nested coefficients being zero.  Matrices are dense tuples of Fractions, and
-row reduction, ranks, nullspaces and linear solves are exact Gaussian
-elimination.
+row reduction, ranks and nullspaces are exact Gaussian elimination.
 
 Wire formats: a rational serializes as the string ``"p/q"``, or ``"p"`` when
 the denominator is 1; a polynomial serializes as a JSON array of such strings
@@ -23,7 +22,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
@@ -352,9 +351,6 @@ class RatMatrix:
     def rank(self) -> int:
         return len(row_space_basis(self.entries))
 
-    def transpose(self) -> RatMatrix:
-        return RatMatrix(tuple(zip(*self.entries)))
-
     def _same_shape(self, other: RatMatrix) -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix shapes differ")
@@ -428,29 +424,3 @@ def nullspace(rows: Sequence[Sequence[Fraction]], n_cols: int) -> tuple[tuple[Fr
             v[pc] = -mat[r][fc]
         basis.append(tuple(v))
     return tuple(basis)
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """A particular solution plus a basis of the homogeneous solutions."""
-
-    particular: tuple[Fraction, ...]
-    null_basis: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def unique(self) -> bool:
-        return not self.null_basis
-
-
-def linear_solve(a: RatMatrix, b: Sequence[Fraction]) -> Optional[LinearSolution]:
-    """Solve a*x = b exactly; None when the system is inconsistent."""
-    if a.rows != len(b):
-        raise ValueError("right-hand side length does not match matrix height")
-    aug = [list(row) + [Fraction(bb)] for row, bb in zip(a.entries, b)]
-    pivots = _rref_inplace(aug)
-    if a.cols in pivots:
-        return None
-    particular = [Fraction(0)] * a.cols
-    for r, pc in enumerate(pivots):
-        particular[pc] = aug[r][-1]
-    return LinearSolution(tuple(particular), nullspace(a.entries, a.cols))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .exact import Poly, PolyKind, RatMatrix, nest_inner, nest_outer, rational_from_str
 from .group import GroupElement, decompose, gmul
@@ -26,7 +25,6 @@ __all__ = [
     "LoopPoint",
     "LoopSpec",
     "SpecError",
-    "SpecReport",
     "comm_defect",
     "coset_representative",
     "is_commutative",
@@ -34,23 +32,26 @@ __all__ = [
     "left_translation",
     "lmul",
     "rdiv",
-    "section_sharply_transitive",
     "section_solve",
     "spec_from_comm_matrix",
-    "validate_spec",
 ]
 
 
 class SpecError(ValueError):
-    """Loop specification violates a structural requirement."""
+    """Loop specification violates a structural requirement.
+
+    Messages name the offending field path: 'n', 'v', 'v[i]' or 'v[i][j]'.
+    """
 
 
 @dataclass(frozen=True)
 class LoopSpec:
     """n polynomials v_1..v_n with v_i(0) = 0, defining the multiplication.
 
-    Construction rejects data violating the identity condition; the
-    properness flag and its reasons are computed once here.
+    This class is the one place that knows what a valid spec is: n is an int
+    >= 1 (never a bool), v holds exactly n polynomials, and each satisfies
+    the identity condition.  The properness flag and its reasons are
+    computed once here.
     """
 
     n: int
@@ -59,61 +60,54 @@ class LoopSpec:
     proper_reasons: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise SpecError("n must be >= 1")
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+            raise SpecError(f"field 'n' must be a positive integer, got {self.n!r}")
         polys = tuple(self.v)
         if len(polys) != self.n:
-            raise SpecError(f"expected {self.n} polynomials, got {len(polys)}")
+            raise SpecError(f"field 'v' must hold {self.n} polynomials, got {len(polys)}")
+        reasons: list[str] = []
         for idx, p in enumerate(polys, start=1):
             if not isinstance(p, Poly):
-                raise SpecError(f"v{idx} is not a polynomial")
+                raise SpecError(f"field 'v[{idx - 1}]' is not a polynomial")
             if p.coefficient(0) != 0:
-                raise SpecError(f"v{idx}(0) = {p.coefficient(0)}, loop identity requires 0")
+                raise SpecError(f"field 'v[{idx - 1}]': v{idx}(0) = {p.coefficient(0)}, "
+                                "loop identity requires 0")
+            kind = p.classify()
+            if kind in (PolyKind.ZERO, PolyKind.CONSTANT):
+                reasons.append(f"v{idx} must be non-constant")
+            elif idx == self.n and kind is PolyKind.LINEAR:
+                reasons.append(f"v{idx} must be non-linear")
         object.__setattr__(self, "v", polys)
-        report = validate_spec(self.n, polys)
-        object.__setattr__(self, "proper", report.proper)
-        object.__setattr__(self, "proper_reasons", report.reasons)
+        object.__setattr__(self, "proper", not reasons)
+        object.__setattr__(self, "proper_reasons", tuple(reasons))
 
     def to_json(self) -> dict:
         return {"n": self.n, "v": [p.to_strings() for p in self.v]}
 
     @classmethod
-    def from_json(cls, data: dict) -> LoopSpec:
-        return cls(int(data["n"]), tuple(Poly.from_strings(item) for item in data["v"]))
+    def from_json(cls, data: object) -> LoopSpec:
+        """Parse the wire form {"n": int, "v": [[coefficient strings], ...]}.
 
-
-@dataclass(frozen=True)
-class SpecReport:
-    identity_ok: bool
-    proper: bool
-    reasons: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {"identity_ok": self.identity_ok, "proper": self.proper,
-                "reasons": list(self.reasons)}
-
-
-def validate_spec(n: int, polys: Sequence[Poly]) -> SpecReport:
-    """Check the identity condition and properness of raw polynomial data."""
-    if n < 1 or len(polys) != n:
-        raise ValueError(f"expected {n} polynomials with n >= 1, got {len(polys)}")
-    reasons: list[str] = []
-    identity_ok = True
-    for idx, p in enumerate(polys, start=1):
-        c0 = p.coefficient(0)
-        if c0 != 0:
-            identity_ok = False
-            reasons.append(f"v{idx}(0) = {c0}, loop identity requires 0")
-    proper = identity_ok
-    for idx, p in enumerate(polys, start=1):
-        kind = p.classify()
-        if kind in (PolyKind.ZERO, PolyKind.CONSTANT):
-            proper = False
-            reasons.append(f"v{idx} must be non-constant")
-        elif idx == n and kind is PolyKind.LINEAR:
-            proper = False
-            reasons.append(f"v{n} must be non-linear")
-    return SpecReport(identity_ok, proper, tuple(reasons))
+        The only spec parser: malformed data raises SpecError with a field
+        path, and unknown top-level keys are ignored.
+        """
+        if not isinstance(data, dict):
+            raise SpecError("top level must be an object")
+        v = data.get("v")
+        if not isinstance(v, list):
+            raise SpecError("field 'v' must be a list of coefficient lists")
+        polys = []
+        for i, item in enumerate(v):
+            if not isinstance(item, list):
+                raise SpecError(f"field 'v[{i}]' must be a list of rational strings")
+            coeffs = []
+            for j, s in enumerate(item):
+                try:
+                    coeffs.append(rational_from_str(s))
+                except ValueError as exc:
+                    raise SpecError(f"field 'v[{i}][{j}]': {exc}") from None
+            polys.append(Poly(coeffs))
+        return cls(data.get("n"), tuple(polys))
 
 
 @dataclass(frozen=True)
@@ -194,14 +188,6 @@ def section_solve(spec: LoopSpec, source: LoopPoint,
     if (slice_part.c, slice_part.b) != (target.u, target.z):
         raise RuntimeError("closed-form section solution failed verification")
     return LoopPoint(u, z), h_part.a
-
-
-def section_sharply_transitive(spec: LoopSpec,
-                               samples: Sequence[tuple[LoopPoint, LoopPoint]]) -> bool:
-    """Verify existence and uniqueness of the section equation on samples."""
-    for source, target in samples:
-        section_solve(spec, source, target)
-    return True
 
 
 @dataclass(frozen=True)

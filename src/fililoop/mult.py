@@ -55,7 +55,6 @@ __all__ = [
     "h_connected_transversal",
     "inn_correspondence_check",
     "left_translation_elements",
-    "mult_group_dimension",
     "mult_group_report",
     "solve_companions",
     "transversal_elements",
@@ -185,12 +184,6 @@ def transversal_identity_holds(v1: Poly, trans: TransversalSpec) -> bool:
     for k in range(1, trans.m + 1):
         right = right + Fraction((-1) ** (k + 1)) * nest_outer(trans.a[k - 1] * x) * nest_inner(Poly.monomial(k))
     return (left - right).is_zero
-
-
-def mult_group_dimension(v1: Poly) -> int:
-    """Dimension of the multiplication group of the v1-loop: deg(v1) + 2."""
-    _check_v1(v1)
-    return v1.degree + 2
 
 
 def left_translation_elements(family: LeftTranslationFamily,

@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from fililoop import GroupElement, AlgebraElement, LoopPoint, LoopSpec, Poly
+from fililoop.exact import Poly
+from fililoop.algebra import AlgebraElement
+from fililoop.group import GroupElement
+from fililoop.loop import LoopPoint, LoopSpec
 
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 9) -> Fraction:

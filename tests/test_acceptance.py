@@ -11,43 +11,44 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from fililoop import (
-    LeftTranslationFamily,
-    LoopPoint,
-    LoopSpec,
-    Poly,
-    RatMatrix,
+from fililoop.exact import Poly, RatMatrix
+from fililoop.algebra import (
     SubalgebraBasis,
-    TransversalSpec,
     basis_element,
     bracket,
-    check_h_connected,
-    comm_defect,
     core_ideal,
-    coset_representative,
-    decompose,
-    generated_subalgebra_of,
-    gmul,
-    h_connected_transversal,
     inn_subalgebra,
     is_bracket_automorphism,
+    lower_central_series,
+    phi_automorphism,
+)
+from fililoop.group import decompose, gmul, to_matrix
+from fililoop.loop import (
+    CommMatrix,
+    LoopPoint,
+    LoopSpec,
+    comm_defect,
+    coset_representative,
     ldiv,
     left_translation,
-    left_translation_elements,
     lmul,
-    lower_central_series,
-    mult_group_report,
-    phi_automorphism,
     rdiv,
-    solve_companions,
     spec_from_comm_matrix,
-    to_matrix,
+)
+from fililoop.mult import (
+    DEFAULT_GRID,
+    LeftTranslationFamily,
+    TransversalSpec,
+    check_h_connected,
+    generated_subalgebra_of,
+    grid_points,
+    h_connected_transversal,
+    left_translation_elements,
+    mult_group_report,
+    solve_companions,
     transversal_elements,
-    validate_spec,
 )
 from fililoop.cli import main as cli_main
-from fililoop.loop import CommMatrix
-from fililoop.mult import DEFAULT_GRID, grid_points
 
 from helpers import rand_fraction, rand_group_element, rand_algebra_element, rand_point, rand_proper_spec
 
@@ -135,7 +136,7 @@ def test_criterion_4_companion_criterion():
         assert solution is not None
         assert all(p.is_zero for p in solution.s)
         assert comm_defect(spec).is_zero
-        assert validate_spec(spec.n, spec.v).proper
+        assert spec.proper
 
         square = LoopSpec(1, (Poly([0, 0, 1]),))
         assert solve_companions(square) is None

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from fililoop import (
+from fililoop.exact import RatMatrix
+from fililoop.algebra import (
     AlgebraElement,
     LinearMap,
     NotClosedError,
-    RatMatrix,
     SubalgebraBasis,
     basis_element,
     bracket,
@@ -23,7 +23,6 @@ from fililoop import (
     subalgebra_closure,
     zero_element,
 )
-from fililoop.algebra import identity_map
 
 from helpers import rand_algebra_element, rand_fraction
 
@@ -196,7 +195,7 @@ def test_phi_formulas_n2():
 
 def test_phi_zero_is_identity():
     phi = phi_automorphism((Fraction(0),) * 3)
-    assert phi == identity_map(3)
+    assert phi == LinearMap(3, RatMatrix.identity(5))
 
 
 def test_phi_is_bracket_automorphism():
@@ -208,7 +207,7 @@ def test_phi_is_bracket_automorphism():
 
 
 def test_identity_is_bracket_automorphism():
-    assert is_bracket_automorphism(identity_map(2))
+    assert is_bracket_automorphism(LinearMap(2, RatMatrix.identity(4)))
 
 
 def test_swap_map_is_not_bracket_automorphism():

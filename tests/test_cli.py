@@ -53,6 +53,14 @@ def test_load_spec_errors(tmp_path):
     with pytest.raises(CliError, match="'v'"):
         load_spec(str(bad))
 
+    bad.write_text('{"n": true, "v": [["0", "0", "1"]]}')
+    with pytest.raises(CliError, match="field 'n'"):
+        load_spec(str(bad))
+
+    bad.write_bytes(b'\xff{"n": 1}')
+    with pytest.raises(CliError, match="invalid JSON"):
+        load_spec(str(bad))
+
     with pytest.raises(CliError, match="cannot read"):
         load_spec(str(tmp_path / "missing.json"))
 

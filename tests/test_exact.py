@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from fililoop import (
-    LinearSolution,
+from fililoop.exact import (
     Poly,
     PolyKind,
     RatMatrix,
-    linear_solve,
+    in_row_space,
     nest_inner,
     nest_outer,
     nullspace,
@@ -18,7 +17,6 @@ from fililoop import (
     rational_to_str,
     row_space_basis,
 )
-from fililoop.exact import in_row_space
 
 from helpers import rand_fraction
 
@@ -110,42 +108,6 @@ def test_nested_poly_arithmetic():
 
 # -- linear algebra ------------------------------------------------------------
 
-def test_linear_solve_identity():
-    sol = linear_solve(RatMatrix.identity(2), (F(1), F(2)))
-    assert sol == LinearSolution((F(1), F(2)), ())
-    assert sol.unique
-
-
-def test_linear_solve_inconsistent():
-    a = RatMatrix(((1, 1), (2, 2)))
-    assert linear_solve(a, (F(1), F(3))) is None
-
-
-def test_linear_solve_underdetermined():
-    a = RatMatrix(((1, 1), (2, 2)))
-    sol = linear_solve(a, (F(1), F(2)))
-    assert sol.particular == (F(1), F(0))
-    assert len(sol.null_basis) == 1
-    # null direction spans (1, -1)
-    assert row_space_basis(sol.null_basis) == row_space_basis([(F(1), F(-1))])
-
-
-def test_linear_solve_substitution_properties():
-    rng = random.Random(37)
-    for _ in range(25):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        a = RatMatrix(tuple(tuple(rand_fraction(rng, -5, 5, 3) for _ in range(cols))
-                            for _ in range(rows)))
-        x = [rand_fraction(rng, -5, 5, 3) for _ in range(cols)]
-        b = a.apply(x)
-        sol = linear_solve(a, b)
-        assert sol is not None
-        assert a.apply(sol.particular) == b
-        for v in sol.null_basis:
-            assert not any(a.apply(v))
-
-
 def test_row_space_basis_examples():
     assert row_space_basis([(F(1), F(0)), (F(0), F(1))]) == ((F(1), F(0)), (F(0), F(1)))
     assert row_space_basis([(F(1), F(1)), (F(2), F(2))]) == ((F(1), F(1)),)
@@ -164,6 +126,18 @@ def test_row_space_basis_idempotent():
 
 def test_nullspace_of_full_rank_is_trivial():
     assert nullspace(RatMatrix.identity(3).entries, 3) == ()
+
+
+def test_nullspace_annihilates_and_has_corank_dimension():
+    rng = random.Random(37)
+    for _ in range(25):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        a = RatMatrix(tuple(tuple(rand_fraction(rng, -5, 5, 3) for _ in range(cols))
+                            for _ in range(rows)))
+        basis = nullspace(a.entries, cols)
+        assert len(basis) == cols - a.rank
+        for v in basis:
+            assert not any(a.apply(v))
 
 
 def test_matrix_product_and_rank():

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from fililoop import (
+from fililoop.exact import RatMatrix
+from fililoop.algebra import basis_element, bracket
+from fililoop.group import (
     GroupElement,
-    RatMatrix,
-    basis_element,
-    bracket,
+    algebra_to_matrix,
     commutator,
     decompose,
     gexp,
@@ -20,7 +20,6 @@ from fililoop import (
     in_H,
     to_matrix,
 )
-from fililoop.group import algebra_to_matrix
 
 from helpers import rand_fraction, rand_group_element
 

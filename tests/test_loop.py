@@ -5,27 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from fililoop import (
+from fililoop.exact import Poly, RatMatrix
+from fililoop.group import GroupElement, decompose, gmul
+from fililoop.loop import (
     CommMatrix,
-    GroupElement,
     LoopPoint,
     LoopSpec,
-    Poly,
-    RatMatrix,
     SpecError,
     comm_defect,
     coset_representative,
-    decompose,
-    gmul,
     is_commutative,
     ldiv,
     left_translation,
     lmul,
     rdiv,
-    section_sharply_transitive,
     section_solve,
     spec_from_comm_matrix,
-    validate_spec,
 )
 
 from helpers import rand_point, rand_proper_spec
@@ -49,15 +44,19 @@ def action(spec, a, b):
 # -- validation -----------------------------------------------------------------
 
 def test_validate_examples():
-    ok = validate_spec(1, (Poly([0, 0, 1]),))
-    assert ok.identity_ok and ok.proper and not ok.reasons
+    ok = LoopSpec(1, (Poly([0, 0, 1]),))
+    assert ok.proper and not ok.proper_reasons
 
-    linear = validate_spec(1, (Poly([0, 3]),))
-    assert linear.identity_ok and not linear.proper
-    assert any("non-linear" in r for r in linear.reasons)
+    linear = LoopSpec(1, (Poly([0, 3]),))
+    assert not linear.proper
+    assert any("non-linear" in r for r in linear.proper_reasons)
 
-    shifted = validate_spec(1, (Poly([1, 0, 1]),))
-    assert not shifted.identity_ok and not shifted.proper
+    zeros = LoopSpec(2, (Poly(), Poly([0, 0, 1])))
+    assert not zeros.proper
+    assert zeros.proper_reasons == ("v1 must be non-constant",)
+
+    with pytest.raises(SpecError, match=r"v\[0\]"):
+        LoopSpec(1, (Poly([1, 0, 1]),))
 
 
 def test_spec_construction_rejects_identity_violation():
@@ -74,6 +73,26 @@ def test_spec_flags_computed_at_construction():
 
 def test_spec_json_round_trip():
     assert LoopSpec.from_json(COMM4.to_json()) == COMM4
+    # unknown top-level keys are ignored
+    assert LoopSpec.from_json({**SQUARE.to_json(), "note": "x^2"}) == SQUARE
+
+
+@pytest.mark.parametrize("data, path", [
+    ({"n": 1}, "'v'"),
+    ({"n": "1", "v": [["0", "0", "1"]]}, "'n'"),
+    ({"n": True, "v": [["0", "0", "1"]]}, "'n'"),
+    ({"v": [["0", "0", "1"]]}, "'n'"),
+    ({"n": 1, "v": "01"}, "'v'"),
+    ({"n": 2, "v": [["0", "0", "1"]]}, "'v'"),
+    ({"n": 1, "v": ["01"]}, r"'v\[0\]'"),
+    ({"n": 1, "v": [["0", 1]]}, r"'v\[0\]\[1\]'"),
+    ({"n": 1, "v": [["1", "0", "1"]]}, r"'v\[0\]'"),
+    ([1, [["0", "0", "1"]]], "top level"),
+    ("{}", "top level"),
+])
+def test_spec_from_json_rejects_malformed_input(data, path):
+    with pytest.raises(SpecError, match=path):
+        LoopSpec.from_json(data)
 
 
 # -- multiplication and divisions --------------------------------------------------
@@ -143,14 +162,6 @@ def test_section_solve_identity_pair():
     assert solution == LoopPoint.origin()
 
 
-def test_section_sharply_transitive_random():
-    rng = random.Random(71)
-    for _ in range(5):
-        spec = rand_proper_spec(rng)
-        samples = [(rand_point(rng), rand_point(rng)) for _ in range(10)]
-        assert section_sharply_transitive(spec, samples)
-
-
 def test_section_stabilizer_params_match_closed_form():
     # the H-component from the group decomposition must agree with the
     # parametric solution t_j = sum_m (-1)^(m-j) C(m, m-j) u1^(m-j) v_m(u)
@@ -198,11 +209,11 @@ def test_comm_matrix_construction():
 def test_comm_matrix_zero_and_scalar():
     zero = spec_from_comm_matrix(CommMatrix(2, RatMatrix.zero(2, 2)))
     assert all(p.is_zero for p in zero.v)
-    assert not validate_spec(zero.n, zero.v).proper
+    assert not zero.proper
 
     scalar = spec_from_comm_matrix(CommMatrix(1, RatMatrix(((5,),))))
     assert scalar.v[0] == Poly([0, 5])
-    assert not validate_spec(scalar.n, scalar.v).proper
+    assert not scalar.proper
 
 
 def test_comm_matrix_rejects_unsigned():

@@ -5,32 +5,26 @@ from fractions import Fraction
 
 import pytest
 
-from fililoop import (
-    GroupElement,
+from fililoop.exact import Poly, RatMatrix
+from fililoop.algebra import basis_element
+from fililoop.group import GroupElement, commutator, in_H
+from fililoop.loop import CommMatrix, LoopSpec, spec_from_comm_matrix
+from fililoop.mult import (
+    DEFAULT_GRID,
     LeftTranslationFamily,
-    LoopSpec,
-    Poly,
-    RatMatrix,
     StabilizationError,
     TransversalSpec,
-    basis_element,
     check_h_connected,
-    commutator,
     companion_residual,
     generated_subalgebra_of,
+    grid_points,
     h_connected_transversal,
-    in_H,
     inn_correspondence_check,
     left_translation_elements,
-    mult_group_dimension,
     mult_group_report,
     solve_companions,
-    spec_from_comm_matrix,
     transversal_elements,
-    validate_spec,
 )
-from fililoop.loop import CommMatrix
-from fililoop.mult import DEFAULT_GRID, grid_points
 
 from helpers import rand_fraction, rand_proper_spec
 
@@ -106,9 +100,8 @@ def test_single_poly_spec_padded_to_its_degree():
             coeffs[m] = rand_fraction(rng, -4, 4, 3)
         v1 = Poly(coeffs)
         spec = LoopSpec(m, (v1,) + (Poly(),) * (m - 1))
-        assert not validate_spec(spec.n, spec.v).proper
+        assert not spec.proper
         assert solve_companions(spec) is not None
-        assert mult_group_dimension(v1) == m + 2
 
 
 # -- transversal construction -------------------------------------------------------
@@ -137,13 +130,6 @@ def test_transversal_rejects_linear():
         h_connected_transversal(Poly([0, 5]))
     with pytest.raises(ValueError):
         h_connected_transversal(Poly([1, 0, 1]))
-
-
-def test_mult_group_dimension_examples():
-    assert mult_group_dimension(SQUARE_POLY) == 4
-    assert mult_group_dimension(Poly([0, 0, -1, 1])) == 5
-    with pytest.raises(ValueError):
-        mult_group_dimension(Poly([0, 5]))
 
 
 # -- embedded left translations -------------------------------------------------------

@@ -24,8 +24,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 Coeff = Union[Fraction, "Poly"]
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
@@ -195,14 +193,6 @@ class Poly:
             return self.__mul__(other)
         return NotImplemented
 
-    def __pow__(self, power: int) -> Poly:
-        if not isinstance(power, int) or power < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = Poly.const(1)
-        for _ in range(power):
-            result = result * self
-        return result
-
     def __call__(self, point: object):
         """Evaluate by Horner's rule; exact for Fraction or Poly arguments."""
         result: object = 0
@@ -226,39 +216,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly([{', '.join(str(c) for c in self.coeffs)}])"
-
-    def __str__(self) -> str:
-        return self.format()
-
-    def format(self, var: str = "x") -> str:
-        """Human-readable form, highest power first."""
-        if self.is_zero:
-            return "0"
-        inner_var = "y" if var != "y" else "z"
-        parts: list[str] = []
-        for k in range(self.degree, -1, -1):
-            c = self.coefficient(k)
-            if c == 0:
-                continue
-            power = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-            if isinstance(c, Poly):
-                body = f"({c.format(inner_var)})" + (f"*{power}" if power else "")
-                sign = "+"
-            else:
-                sign = "-" if c < 0 else "+"
-                mag = abs(c)
-                if not power:
-                    body = str(mag)
-                elif mag == 1:
-                    body = power
-                else:
-                    body = f"{mag}*{power}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
 
 
 def nest_outer(p: Poly) -> Poly:

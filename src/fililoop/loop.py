@@ -126,10 +126,6 @@ class LoopPoint:
     def to_json(self) -> dict:
         return {"u": str(self.u), "z": str(self.z)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> LoopPoint:
-        return cls(rational_from_str(data["u"]), rational_from_str(data["z"]))
-
 
 def _twist(spec: LoopSpec, u1: Fraction, u2: Fraction) -> Fraction:
     """The z-correction sum_k (-1)^k u2^k v_k(u1)."""

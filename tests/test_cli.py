@@ -160,6 +160,24 @@ def test_thm3_grid_override(capsys):
     assert all(c["pass"] for c in data["certificates"])
 
 
+def test_thm3_degenerate_grids_report_closure_dimension(capsys):
+    # A grid holding only the identity fails generation with closure 0; a
+    # grid with u = 0 only reaches the central direction.
+    for grid, dim in (("0|0", 0), ("0|1,2", 1)):
+        code, data = run_json(capsys, "thm3", spec_path("f3_square.json"), f"--grid={grid}")
+        assert code == 1
+        certs = {c["name"]: c for c in data["certificates"]}
+        assert certs["generation"] == {"name": "generation", "pass": False,
+                                       "witness": {"closure_dimension": dim}}
+
+
+def test_thm3_h_connected_witness_counts_the_sample(capsys):
+    code, data = run_json(capsys, "thm3", spec_path("f3_square.json"), "--grid=1,1,1|0")
+    assert code == 0
+    certs = {c["name"]: c for c in data["certificates"]}
+    assert certs["h-connected"]["witness"] == {"sampled_pairs": 9, "distinct_u": 1}
+
+
 def test_algebra_bracket_verb(capsys):
     code, data = run_json(capsys, "algebra-bracket", "--x", "1,0,0", "--y", "0,1,0")
     assert code == 0

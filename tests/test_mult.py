@@ -12,7 +12,6 @@ from fililoop.loop import CommMatrix, LoopSpec, spec_from_comm_matrix
 from fililoop.mult import (
     DEFAULT_GRID,
     LeftTranslationFamily,
-    StabilizationError,
     TransversalSpec,
     check_h_connected,
     companion_residual,
@@ -203,15 +202,6 @@ def test_generated_subalgebra_lambda_alone_is_proper():
 
 def test_generated_subalgebra_identity_only():
     assert generated_subalgebra_of([GroupElement.identity(3)]).dimension == 0
-
-
-def test_generated_subalgebra_stabilization_guard():
-    fam = LeftTranslationFamily(2, SQUARE_POLY)
-    sparse = left_translation_elements(fam, [(F(0), F(0))])
-    rich = left_translation_elements(
-        fam, [(F(1), F(0)), (F(2), F(0)), (F(3), F(0)), (F(1), F(1)), (F(2), F(1))])
-    with pytest.raises(StabilizationError):
-        generated_subalgebra_of(sparse + rich, holdout=5)
 
 
 # -- full pipeline -------------------------------------------------------------------------

@@ -240,7 +240,8 @@ class RatMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(e) for e in row) for row in self.entries)
+        rows = tuple(tuple(e if type(e) is Fraction else Fraction(e) for e in row)
+                     for row in self.entries)
         if not rows or not rows[0]:
             raise ValueError("matrix must have positive dimensions")
         width = len(rows[0])

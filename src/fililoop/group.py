@@ -65,10 +65,6 @@ class GroupElement:
     def identity(cls, n: int) -> GroupElement:
         return cls(n, Fraction(0), (Fraction(0),) * n, Fraction(0))
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.c and not self.b and not any(self.a)
-
     def to_json(self) -> dict:
         return {"n": self.n, "c": str(self.c), "a": [str(x) for x in self.a], "b": str(self.b)}
 
@@ -98,6 +94,7 @@ def to_matrix(g: GroupElement) -> RatMatrix:
     """The unipotent matrix realization of g."""
     n = g.n
     size = n + 2
+    neg_c = [(-g.c) ** k for k in range(n + 1)]
     rows = [[Fraction(0)] * size for _ in range(size)]
     rows[0][0] = Fraction(1)
     for i, ai in enumerate(g.a, start=1):
@@ -106,8 +103,8 @@ def to_matrix(g: GroupElement) -> RatMatrix:
     for k in range(1, n + 1):
         rows[k][k] = Fraction(1)
         for j in range(1, k):
-            rows[k][j] = Fraction((-1) ** (k - j) * comb(k, k - j)) * g.c ** (k - j)
-        rows[k][size - 1] = (-g.c) ** k
+            rows[k][j] = comb(k, k - j) * neg_c[k - j]
+        rows[k][size - 1] = neg_c[k]
     rows[size - 1][size - 1] = Fraction(1)
     return RatMatrix(tuple(tuple(r) for r in rows))
 
@@ -138,18 +135,18 @@ def gmul(g1: GroupElement, g2: GroupElement) -> GroupElement:
 
 
 def ginv(g: GroupElement) -> GroupElement:
-    """Group inverse, via the terminating series for (I + N)^(-1)."""
-    size = g.n + 2
-    m = to_matrix(g)
-    nil = m - RatMatrix.identity(size)
-    acc = RatMatrix.identity(size)
-    term = RatMatrix.identity(size)
-    for k in range(1, size):
-        term = term @ nil
-        if term.is_zero:
-            break
-        acc = acc + term.scaled(Fraction((-1) ** k))
-    return from_matrix(acc)
+    """Group inverse, read off row 0 of g g' = 1 (a indexed from 1).
+
+        c' = -c,
+        a'_j = -(sum over k >= j of C(k, k-j) c^(k-j) a_k),
+        b' = -(b + sum over k >= 1 of a_k c^k).
+    """
+    n, a = g.n, g.a
+    c_pow = [g.c ** k for k in range(n + 1)]
+    inv_a = tuple(-sum(comb(k, k - j) * c_pow[k - j] * a[k - 1] for k in range(j, n + 1))
+                  for j in range(1, n + 1))
+    b = -sum((ak * c_pow[k] for k, ak in enumerate(a, start=1)), g.b)
+    return GroupElement(n, -g.c, inv_a, b)
 
 
 def commutator(g1: GroupElement, g2: GroupElement) -> GroupElement:

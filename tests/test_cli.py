@@ -1,5 +1,6 @@
 """CLI verbs, exit codes, determinism, wire formats."""
 
+import gc
 import json
 import os
 import subprocess
@@ -218,6 +219,27 @@ def test_bad_arguments_exit_2(capsys):
     assert run_cli(capsys, "mul", spec_path("f3_square.json"), "--a", "1", "--b", "1,0")[0] == 2
     assert run_cli(capsys, "no-such-verb")[0] == 2
     assert run_cli(capsys)[0] == 2
+
+
+def test_usage_error_does_not_change_the_next_call(capsys):
+    argv = ("thm3", spec_path("f3_square.json"))
+    alone = run_cli(capsys, *argv)
+    assert run_cli(capsys, "thm3", "--grid")[0] == 2
+    assert run_cli(capsys, *argv) == alone
+
+
+def test_thm3_call_leaves_no_reference_cycles(capsys):
+    argv = ["thm3", spec_path("f3_square.json")]
+    main(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert unreachable == 0
 
 
 def test_pretty_flag_writes_stderr_only(capsys):

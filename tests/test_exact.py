@@ -146,3 +146,20 @@ def test_matrix_product_and_rank():
     assert (a @ b).entries == ((F(2), F(1)), (F(4), F(3)))
     assert a.rank == 2
     assert RatMatrix(((1, 2), (2, 4))).rank == 1
+
+
+def test_ratmatrix_entries_are_fractions_and_keep_fraction_objects():
+    half = F(1, 2)
+    m = RatMatrix(((1, "-3/4"), (half, True)))
+    assert m.entries == ((F(1), F(-3, 4)), (F(1, 2), F(1)))
+    assert all(type(e) is Fraction for row in m.entries for e in row)
+    assert m.entries[1][0] is half
+
+
+def test_ratmatrix_rejects_ragged_rows_and_non_numbers():
+    with pytest.raises(ValueError):
+        RatMatrix(((1, 2), (3,)))
+    with pytest.raises(ValueError):
+        RatMatrix((("x",),))
+    with pytest.raises(TypeError):
+        RatMatrix(((None,),))

@@ -12,6 +12,7 @@ from fililoop.group import (
     algebra_to_matrix,
     commutator,
     decompose,
+    from_matrix,
     gexp,
     ginv,
     glog,
@@ -103,6 +104,28 @@ def test_ginv_closed_form_n1():
         c, a, b = (rand_fraction(rng) for _ in range(3))
         inv = ginv(GroupElement(1, c, (a,), b))
         assert inv == GroupElement(1, -c, (-a,), -b - a * c)
+
+
+def series_inverse(g):
+    """(I + N)^(-1) = sum over k of (-N)^k, which stops because N is nilpotent."""
+    size = g.n + 2
+    minus_nil = RatMatrix.identity(size) - to_matrix(g)
+    total = term = RatMatrix.identity(size)
+    for _ in range(1, size):
+        term = term @ minus_nil
+        total = total + term
+    return total
+
+
+def test_ginv_matches_series_oracle():
+    rng = random.Random(23)
+    cases = [GroupElement.identity(n) for n in (1, 4, 10)]
+    cases += [rand_group_element(rng, n) for n in range(1, 11) for _ in range(6)]
+    for g in cases:
+        oracle = series_inverse(g)
+        inv = ginv(g)
+        assert to_matrix(inv) == oracle
+        assert inv == from_matrix(oracle)
 
 
 def test_ginv_properties():

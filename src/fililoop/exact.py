@@ -22,6 +22,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Coeff = Union[Fraction, "Poly"]
@@ -37,6 +39,16 @@ def rational_from_str(text: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"not a rational string (expected 'p' or 'p/q'): {text!r}")
     return Fraction(s)
+
+
+def as_fraction(value: object) -> Fraction:
+    """An exact rational: Fraction objects are kept as they are, float and
+    bool are refused with TypeError, and anything else goes through Fraction."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"cannot use {type(value).__name__} as an exact rational")
+    return Fraction(value)
 
 
 def rational_to_str(value: Fraction) -> str:
@@ -233,15 +245,17 @@ def nest_inner(p: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True)
 class RatMatrix:
-    """Dense rectangular matrix of Fractions."""
+    """Dense rectangular matrix of Fractions; entries go through as_fraction."""
 
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(e if type(e) is Fraction else Fraction(e) for e in row)
-                     for row in self.entries)
+        rows = tuple(tuple(map(as_fraction, row)) for row in self.entries)
         if not rows or not rows[0]:
             raise ValueError("matrix must have positive dimensions")
         width = len(rows[0])
@@ -265,24 +279,18 @@ class RatMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    @property
-    def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
-
     def __matmul__(self, other: RatMatrix) -> RatMatrix:
+        """Fraction-free product: each row of self and each column of other
+        is scaled to integers by the lcm of its denominators, so an output
+        entry is one integer dot product over one denominator, reduced once."""
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for arow in self.entries:
-            acc = [Fraction(0)] * other.cols
-            for k, aik in enumerate(arow):
-                if not aik:
-                    continue
-                for j, bkj in enumerate(other.entries[k]):
-                    if bkj:
-                        acc[j] += aik * bkj
-            out.append(tuple(acc))
-        return RatMatrix(tuple(out))
+        rows = [_integer_scaled(row) for row in self.entries]
+        cols = [_integer_scaled(col) for col in zip(*other.entries)]
+        return RatMatrix(tuple(
+            tuple(Fraction(num, den_r * den_c) if (num := sum(map(mul, row, col))) else _ZERO
+                  for den_c, col in cols)
+            for den_r, row in rows))
 
     def __add__(self, other: RatMatrix) -> RatMatrix:
         self._same_shape(other)
@@ -293,10 +301,6 @@ class RatMatrix:
         self._same_shape(other)
         return RatMatrix(tuple(tuple(a - b for a, b in zip(r1, r2))
                                for r1, r2 in zip(self.entries, other.entries)))
-
-    def scaled(self, factor: Fraction) -> RatMatrix:
-        f = Fraction(factor)
-        return RatMatrix(tuple(tuple(f * e for e in row) for row in self.entries))
 
     def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Matrix-vector product."""
@@ -312,6 +316,12 @@ class RatMatrix:
     def _same_shape(self, other: RatMatrix) -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix shapes differ")
+
+
+def _integer_scaled(vector: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, d * vector) with d the lcm of the denominators, so d * vector is integral."""
+    d = lcm(*(e.denominator for e in vector))
+    return d, [e.numerator * (d // e.denominator) for e in vector]
 
 
 def _rref_inplace(mat: list[list[Fraction]]) -> list[int]:

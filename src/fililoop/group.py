@@ -18,9 +18,15 @@ identification
     e_1 = C,   e_{1+j} = A_{n+1-j} for j = 1..n,   e_{n+2} = B,
 
 with no scaling factors.  This is the single place where group coordinates
-and algebra coordinates are tied together; glog and gexp below convert
-through it, and the test suite verifies the tangent brackets against the
-algebra's structure table.
+and algebra coordinates are tied together; the test suite verifies the
+tangent brackets against the algebra's structure table.
+
+The logarithm is in closed form, with no matrices.  Write g as the pair
+(c, f) with f(t) = b + sum_k a_k t^k, and an algebra element as (c, phi)
+with phi(t) = sum_k phi_k t^k, phi_k its A_k coordinate and phi_0 its B
+coordinate.  Then exp(c, phi) = (c, sum_k (-c)^k D^k phi / (k+1)!) with
+D = d/dt, a finite sum because D is nilpotent on polynomials of degree
+<= n; glog solves that triangular system for phi.
 """
 
 from __future__ import annotations
@@ -28,14 +34,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
 
 from .algebra import AlgebraElement
-from .exact import RatMatrix, rational_from_str
+from .exact import RatMatrix, as_fraction, rational_from_str
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class PatternMatchError(RuntimeError):
-    """A product or series left the parametric matrix family.
+    """A product left the parametric matrix family.
 
     This cannot happen for well-formed inputs; it signals an implementation
     bug in the matrix layout.
@@ -44,7 +52,11 @@ class PatternMatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Group element g(c, a_1, ..., a_n, b)."""
+    """Group element g(c, a_1, ..., a_n, b).
+
+    Parameters go through exact.as_fraction: Fraction objects are kept,
+    floats and bools raise TypeError.
+    """
 
     n: int
     c: Fraction
@@ -54,16 +66,16 @@ class GroupElement:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        a = tuple(Fraction(x) for x in self.a)
+        a = tuple(map(as_fraction, self.a))
         if len(a) != self.n:
             raise ValueError(f"expected {self.n} middle parameters, got {len(a)}")
-        object.__setattr__(self, "c", Fraction(self.c))
+        object.__setattr__(self, "c", as_fraction(self.c))
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "b", as_fraction(self.b))
 
     @classmethod
     def identity(cls, n: int) -> GroupElement:
-        return cls(n, Fraction(0), (Fraction(0),) * n, Fraction(0))
+        return cls(n, _ZERO, (_ZERO,) * n, _ZERO)
 
     def to_json(self) -> dict:
         return {"n": self.n, "c": str(self.c), "a": [str(x) for x in self.a], "b": str(self.b)}
@@ -73,11 +85,6 @@ class GroupElement:
         return cls(int(data["n"]), rational_from_str(data["c"]),
                    tuple(rational_from_str(s) for s in data["a"]),
                    rational_from_str(data["b"]))
-
-
-def h_element(n: int, a: Sequence[Fraction]) -> GroupElement:
-    """Element of the stabilizer subgroup H = {g(0, a_1, ..., a_n, 0)}."""
-    return GroupElement(n, Fraction(0), tuple(Fraction(x) for x in a), Fraction(0))
 
 
 def in_H(g: GroupElement) -> bool:
@@ -91,22 +98,25 @@ def _same_n(x: GroupElement, y: GroupElement) -> None:
 
 
 def to_matrix(g: GroupElement) -> RatMatrix:
-    """The unipotent matrix realization of g."""
+    """The unipotent matrix realization of g.
+
+    With c = p/q in lowest terms, the band entry C(k, m) (-c)^m is built as
+    the one Fraction C(k, m) (-p)^m / q^m.
+    """
     n = g.n
     size = n + 2
-    neg_c = [(-g.c) ** k for k in range(n + 1)]
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    rows[0][0] = Fraction(1)
-    for i, ai in enumerate(g.a, start=1):
-        rows[0][i] = ai
-    rows[0][size - 1] = g.b
+    p_pow = [(-g.c.numerator) ** m for m in range(n + 1)]
+    q_pow = [g.c.denominator ** m for m in range(n + 1)]
+    rows = [[_ZERO] * size for _ in range(size)]
+    rows[0] = [_ONE, *g.a, g.b]
     for k in range(1, n + 1):
-        rows[k][k] = Fraction(1)
+        row = rows[k]
         for j in range(1, k):
-            rows[k][j] = comb(k, k - j) * neg_c[k - j]
-        rows[k][size - 1] = neg_c[k]
-    rows[size - 1][size - 1] = Fraction(1)
-    return RatMatrix(tuple(tuple(r) for r in rows))
+            row[j] = Fraction(comb(k, k - j) * p_pow[k - j], q_pow[k - j])
+        row[k] = _ONE
+        row[size - 1] = Fraction(p_pow[k], q_pow[k])
+    rows[size - 1][size - 1] = _ONE
+    return RatMatrix(tuple(map(tuple, rows)))
 
 
 def from_matrix(m: RatMatrix) -> GroupElement:
@@ -150,84 +160,37 @@ def ginv(g: GroupElement) -> GroupElement:
 
 
 def commutator(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """g1^(-1) g2^(-1) g1 g2."""
+    """g1^(-1) g2^(-1) g1 g2, computed as (g2 g1)^(-1) (g1 g2)."""
     _same_n(g1, g2)
-    return gmul(gmul(ginv(g1), ginv(g2)), gmul(g1, g2))
+    return gmul(ginv(gmul(g2, g1)), gmul(g1, g2))
 
 
 def decompose(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     """Unique factorization g = slice * h with slice = g(c, 0, b), h in H."""
     n = g.n
-    zeros = (Fraction(0),) * n
-    slice_part = GroupElement(n, g.c, zeros, g.b)
-    h_part = GroupElement(n, Fraction(0), g.a, Fraction(0))
+    slice_part = GroupElement(n, g.c, (_ZERO,) * n, g.b)
+    h_part = GroupElement(n, _ZERO, g.a, _ZERO)
     if gmul(slice_part, h_part) != g:
         raise PatternMatchError("decomposition failed to reproduce the element")
     return slice_part, h_part
 
 
-# ---------------------------------------------------------------------------
-# Logarithm and exponential between the group and its Lie algebra
-# ---------------------------------------------------------------------------
-
-
-class CoordinateError(RuntimeError):
-    """A matrix logarithm left the modeled Lie algebra (must never occur)."""
-
-
-def algebra_to_matrix(x: AlgebraElement) -> RatMatrix:
-    """Matrix realization of an algebra element, per the tangent identification."""
-    n = x.n
-    size = n + 2
-    c = x.coeffs[0]
-    b = x.coeffs[size - 1]
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(1, n + 1):
-        rows[0][i] = x.coeffs[n + 1 - i]
-    rows[0][size - 1] = b
-    rows[1][size - 1] = -c
-    for k in range(2, n + 1):
-        rows[k][k - 1] = Fraction(-k) * c
-    return RatMatrix(tuple(tuple(r) for r in rows))
-
-
-def matrix_to_algebra(m: RatMatrix, n: int) -> AlgebraElement:
-    size = n + 2
-    c = -m.entries[1][size - 1]
-    a = m.entries[0][1:size - 1]
-    b = m.entries[0][size - 1]
-    coeffs = (c,) + tuple(a[n - j] for j in range(1, n + 1)) + (b,)
-    candidate = AlgebraElement(n, coeffs)
-    if algebra_to_matrix(candidate) != m:
-        raise CoordinateError("matrix is not in the modeled Lie algebra")
-    return candidate
-
-
 def glog(g: GroupElement) -> AlgebraElement:
-    """Matrix logarithm of g, expressed in e_1, ..., e_{n+2} coordinates."""
-    size = g.n + 2
-    nil = to_matrix(g) - RatMatrix.identity(size)
-    total = RatMatrix.zero(size, size)
-    power = nil
-    k = 1
-    while not power.is_zero:
-        total = total + power.scaled(Fraction((-1) ** (k + 1), k))
-        power = power @ nil
-        k += 1
-    return matrix_to_algebra(total, g.n)
+    """Logarithm of g in e_1, ..., e_{n+2} coordinates, in closed form.
 
+    With f(t) = b + sum_k a_k t^k, log g = (c, phi) where
+    f = sum_k (-c)^k D^k phi / (k+1)!, D = d/dt.  The t^j coefficient of
+    that identity is solved for phi_j from j = n down to 0:
 
-def gexp(x: AlgebraElement) -> GroupElement:
-    """Matrix exponential of an algebra element, back in the group."""
-    size = x.n + 2
-    m = algebra_to_matrix(x)
-    total = RatMatrix.identity(size)
-    power = RatMatrix.identity(size)
-    factorial = 1
-    for k in range(1, size):
-        power = power @ m
-        if power.is_zero:
-            break
-        factorial *= k
-        total = total + power.scaled(Fraction(1, factorial))
-    return from_matrix(total)
+        phi_j = f_j - sum_{k=1}^{n-j} (-c)^k C(j+k, k) / (k+1) phi_{j+k}.
+
+    The coordinates are (c, phi_n, ..., phi_1, phi_0).
+    """
+    n = g.n
+    neg_c = [(-g.c) ** k for k in range(n + 1)]
+    f = (g.b, *g.a)
+    phi = [_ZERO] * (n + 1)
+    for j in range(n, -1, -1):
+        phi[j] = f[j] - sum((neg_c[k] * Fraction(comb(j + k, k), k + 1) * phi[j + k]
+                             for k in range(1, n - j + 1)), _ZERO)
+    return AlgebraElement(n, (g.c, *reversed(phi)))

@@ -150,7 +150,7 @@ def test_matrix_product_and_rank():
 
 def test_ratmatrix_entries_are_fractions_and_keep_fraction_objects():
     half = F(1, 2)
-    m = RatMatrix(((1, "-3/4"), (half, True)))
+    m = RatMatrix(((1, "-3/4"), (half, 1)))
     assert m.entries == ((F(1), F(-3, 4)), (F(1, 2), F(1)))
     assert all(type(e) is Fraction for row in m.entries for e in row)
     assert m.entries[1][0] is half
@@ -161,5 +161,38 @@ def test_ratmatrix_rejects_ragged_rows_and_non_numbers():
         RatMatrix(((1, 2), (3,)))
     with pytest.raises(ValueError):
         RatMatrix((("x",),))
-    with pytest.raises(TypeError):
-        RatMatrix(((None,),))
+    for entries in (((None,),), ((0.1,),), ((1, 2.0),), ((True,),), ((1, 2), (3, False))):
+        with pytest.raises(TypeError):
+            RatMatrix(entries)
+
+
+def naive_product(a, b):
+    """Row-by-column product with Fraction arithmetic, entry by entry."""
+    return tuple(tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), F(0))
+                       for j in range(b.cols))
+                 for i in range(a.rows))
+
+
+def test_matmul_matches_naive_fraction_product():
+    rng = random.Random(41)
+    primes = (7919, 104729, 1299709, 2**61 - 1)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.3:
+            return F(0)
+        if kind < 0.5:
+            return F(rng.randint(-10**12, 10**12), rng.choice(primes))
+        return rand_fraction(rng)
+
+    for _ in range(60):
+        rows, inner, cols = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a = [[entry() for _ in range(inner)] for _ in range(rows)]
+        a[rng.randrange(rows)] = [F(0)] * inner
+        a = RatMatrix(tuple(map(tuple, a)))
+        b = RatMatrix(tuple(tuple(entry() for _ in range(cols)) for _ in range(inner)))
+        product = a @ b
+        assert product.entries == naive_product(a, b)
+        assert all(type(e) is Fraction for row in product.entries for e in row)
+    with pytest.raises(ValueError):
+        RatMatrix(((1, 2),)) @ RatMatrix(((1, 2),))

@@ -2,22 +2,20 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from fililoop.exact import RatMatrix
-from fililoop.algebra import basis_element, bracket
+from fililoop.algebra import AlgebraElement, basis_element, bracket
 from fililoop.group import (
     GroupElement,
-    algebra_to_matrix,
     commutator,
     decompose,
     from_matrix,
-    gexp,
     ginv,
     glog,
     gmul,
-    h_element,
     in_H,
     to_matrix,
 )
@@ -31,6 +29,67 @@ def F(num, den=1):
 
 def g1(c, a, b):
     return GroupElement(1, F(c), (F(a),), F(b))
+
+
+def h_element(n, a):
+    """Element g(0, a_1, ..., a_n, 0) of the stabilizer subgroup H."""
+    return GroupElement(n, F(0), tuple(a), F(0))
+
+
+def rand_non_integral(rng):
+    """A random rational whose denominator is greater than 1."""
+    while True:
+        x = rand_fraction(rng)
+        if x.denominator > 1:
+            return x
+
+
+# -- matrix-series oracles ---------------------------------------------------------
+
+def scaled(m, factor):
+    return RatMatrix(tuple(tuple(factor * e for e in row) for row in m.entries))
+
+
+def algebra_to_matrix(x):
+    """Matrix realization of an algebra element, per the tangent identification."""
+    n = x.n
+    size = n + 2
+    rows = [[F(0)] * size for _ in range(size)]
+    for i in range(1, n + 1):
+        rows[0][i] = x.coeffs[n + 1 - i]
+    rows[0][size - 1] = x.coeffs[size - 1]
+    rows[1][size - 1] = -x.coeffs[0]
+    for k in range(2, n + 1):
+        rows[k][k - 1] = -k * x.coeffs[0]
+    return RatMatrix(tuple(tuple(r) for r in rows))
+
+
+def series_log(g):
+    """log(I + N) = sum over k of (-1)^(k+1) N^k / k, which stops because N is
+    nilpotent, read back into e_1..e_{n+2} coordinates."""
+    n, size = g.n, g.n + 2
+    nil = to_matrix(g) - RatMatrix.identity(size)
+    total = power = nil
+    for k in range(2, size):
+        power = power @ nil
+        total = total + scaled(power, F((-1) ** (k + 1), k))
+    row0 = total.entries[0]
+    x = AlgebraElement(n, (-total.entries[1][size - 1], *row0[n:0:-1], row0[size - 1]))
+    assert algebra_to_matrix(x) == total, "the matrix log left the modeled algebra"
+    return x
+
+
+def series_exp(x):
+    """exp(M) = sum over k of M^k / k!, which stops because M is nilpotent."""
+    size = x.n + 2
+    m = algebra_to_matrix(x)
+    total = power = RatMatrix.identity(size)
+    factorial = 1
+    for k in range(1, size):
+        power = power @ m
+        factorial *= k
+        total = total + scaled(power, F(1, factorial))
+    return from_matrix(total)
 
 
 # -- matrix realization ----------------------------------------------------------
@@ -60,6 +119,28 @@ def test_one_parameter_closure_in_c():
             c1, c2 = rand_fraction(rng), rand_fraction(rng)
             prod = gmul(GroupElement(n, c1, zeros, F(0)), GroupElement(n, c2, zeros, F(0)))
             assert prod == GroupElement(n, c1 + c2, zeros, F(0))
+
+
+def test_to_matrix_matches_band_formula():
+    # the band entries (-1)^(k-j) C(k, k-j) c^(k-j) and (-c)^k, built with
+    # Fraction arithmetic straight from the module docstring
+    rng = random.Random(5)
+    for n in range(1, 11):
+        for _ in range(3):
+            g = GroupElement(n, rand_non_integral(rng), tuple(rand_fraction(rng) for _ in range(n)),
+                             rand_fraction(rng))
+            size = n + 2
+            rows = [[F(0)] * size for _ in range(size)]
+            rows[0] = [F(1), *g.a, g.b]
+            for k in range(1, n + 1):
+                for j in range(1, k):
+                    rows[k][j] = (-1) ** (k - j) * comb(k, k - j) * g.c ** (k - j)
+                rows[k][k] = F(1)
+                rows[k][size - 1] = (-g.c) ** k
+            rows[size - 1][size - 1] = F(1)
+            m = to_matrix(g)
+            assert m.entries == tuple(map(tuple, rows))
+            assert all(type(e) is Fraction for row in m.entries for e in row)
 
 
 # -- group law ---------------------------------------------------------------------
@@ -145,6 +226,14 @@ def test_commutator_examples():
     assert commutator(g, GroupElement.identity(1)) == GroupElement.identity(1)
 
 
+def test_commutator_is_the_four_product_definition():
+    rng = random.Random(27)
+    for n in range(1, 9):
+        for _ in range(4):
+            x, y = rand_group_element(rng, n), rand_group_element(rng, n)
+            assert commutator(x, y) == gmul(gmul(ginv(x), ginv(y)), gmul(x, y))
+
+
 def test_in_H_examples():
     assert in_H(h_element(2, (F(1), F(2))))
     assert not in_H(g1(1, 0, 0))
@@ -200,12 +289,23 @@ def test_glog_of_central_element():
     assert x == b * basis_element(1, 3)
 
 
+def test_glog_matches_series_oracle():
+    rng = random.Random(55)
+    cases = [GroupElement.identity(n) for n in (1, 4, 10)]
+    for n in range(1, 11):
+        for _ in range(6):
+            a = tuple(rand_fraction(rng) for _ in range(n))
+            cases.append(GroupElement(n, rand_non_integral(rng), a, rand_fraction(rng)))
+    for g in cases:
+        assert glog(g) == series_log(g)
+
+
 def test_exp_log_round_trip():
     rng = random.Random(51)
     for n in range(1, 5):
         for _ in range(15):
             g = rand_group_element(rng, n)
-            assert gexp(glog(g)) == g
+            assert series_exp(glog(g)) == g
 
 
 def test_log_exp_round_trip_on_algebra():
@@ -215,7 +315,7 @@ def test_log_exp_round_trip_on_algebra():
             x = basis_element(n, 1) * rand_fraction(rng)
             for i in range(2, n + 3):
                 x = x + rand_fraction(rng) * basis_element(n, i)
-            assert glog(gexp(x)) == x
+            assert glog(series_exp(x)) == x
 
 
 def test_log_of_parameter_families():
@@ -237,8 +337,8 @@ def test_log_of_parameter_families():
 def test_exp_of_basis_directions():
     for n in range(1, 5):
         c = F(3, 2)
-        assert gexp(c * basis_element(n, 1)) == GroupElement(n, c, (F(0),) * n, F(0))
-        assert gexp(c * basis_element(n, n + 2)) == GroupElement(n, F(0), (F(0),) * n, c)
+        assert series_exp(c * basis_element(n, 1)) == GroupElement(n, c, (F(0),) * n, F(0))
+        assert series_exp(c * basis_element(n, n + 2)) == GroupElement(n, F(0), (F(0),) * n, c)
 
 
 def test_tangent_matrices_satisfy_bracket_table():
@@ -249,6 +349,26 @@ def test_tangent_matrices_satisfy_bracket_table():
             for j in range(n + 2):
                 lie = algebra_to_matrix(bracket(basis_element(n, i + 1), basis_element(n, j + 1)))
                 assert mats[i] @ mats[j] - mats[j] @ mats[i] == lie
+
+
+def test_group_element_keeps_fractions_and_converts_ints():
+    c, a1, b = F(1, 3), F(-2, 5), F(7)
+    g = GroupElement(2, c, (a1, 4), b)
+    assert g.c is c and g.a[0] is a1 and g.b is b
+    assert g.a[1] == F(4) and type(g.a[1]) is Fraction
+
+
+@pytest.mark.parametrize("args", [
+    (1, 0.1, (0,), 0),
+    (1, 0, (0.5,), 0),
+    (1, 0, (0,), 2.0),
+    (1, True, (0,), 0),
+    (1, 0, (False,), 0),
+    (1, 0, (0,), True),
+])
+def test_group_element_rejects_float_and_bool(args):
+    with pytest.raises(TypeError):
+        GroupElement(*args)
 
 
 def test_group_element_json_round_trip():

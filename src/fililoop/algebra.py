@@ -11,13 +11,14 @@ straightens those onto span{e_2, ..., e_{n+1}}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .exact import (
     RatMatrix,
+    Record,
+    as_fraction,
     in_row_space,
     nullspace,
     rational_from_str,
@@ -30,11 +31,12 @@ class NotClosedError(ValueError):
     """Raised when an operation requires a bracket-closed subspace."""
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Record):
     """Element of the algebra, as coefficients over e_1, ..., e_{n+2}.
 
-    ``coeffs[i-1]`` is the e_i coefficient.
+    ``coeffs[i-1]`` is the e_i coefficient.  Coefficients go through
+    exact.as_fraction: Fraction objects are kept, floats and bools raise
+    TypeError.
     """
 
     n: int
@@ -43,7 +45,7 @@ class AlgebraElement:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(map(as_fraction, self.coeffs))
         if len(coeffs) != self.n + 2:
             raise ValueError(f"expected {self.n + 2} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
@@ -107,8 +109,7 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(n, tuple(out))
 
 
-@dataclass(frozen=True)
-class SubalgebraBasis:
+class SubalgebraBasis(Record):
     """Subspace of the algebra held as a reduced row echelon basis.
 
     The reduced form is canonical, so two SubalgebraBasis values are equal
@@ -196,8 +197,7 @@ def subalgebra_closure(generators: Sequence[AlgebraElement]) -> SubalgebraBasis:
         current = SubalgebraBasis.span(n, list(items) + fresh)
 
 
-@dataclass(frozen=True)
-class SubalgebraForm:
+class SubalgebraForm(Record):
     """Normal form of a non-commutative subalgebra.
 
     The subspace equals span{e_1 + offset, e_index, ..., e_{n+2}} with the
@@ -278,12 +278,11 @@ def inn_subalgebra(a: Sequence[Fraction]) -> SubalgebraBasis:
     if n < 1:
         raise ValueError("parameter vector must be nonempty")
     top = basis_element(n, n + 2)
-    elems = [basis_element(n, 1 + i) + Fraction(a[i - 1]) * top for i in range(1, n + 1)]
+    elems = [basis_element(n, 1 + i) + as_fraction(a[i - 1]) * top for i in range(1, n + 1)]
     return SubalgebraBasis.span(n, elems)
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(Record):
     """Linear self-map of the algebra, acting on basis coordinates."""
 
     n: int
@@ -324,7 +323,7 @@ def phi_automorphism(a: Sequence[Fraction]) -> LinearMap:
     n = len(a)
     if n < 1:
         raise ValueError("parameter vector must be nonempty")
-    vals = [Fraction(x) for x in a]
+    vals = [as_fraction(x) for x in a]
     size = n + 2
     columns: list[list[Fraction]] = []
     for j in range(1, size + 1):

@@ -19,7 +19,6 @@ in ascending power order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -29,6 +28,68 @@ from typing import Iterable, Sequence, Union
 Coeff = Union[Fraction, "Poly"]
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
+
+
+class Record:
+    """Base of the package's frozen value classes.
+
+    A subclass lists its fields as class annotations, in constructor order;
+    a class attribute of the same name is that field's default.  The
+    constructor takes the fields by position or keyword, then runs
+    ``__post_init__``, which may normalise a field with
+    ``object.__setattr__``.  A record equals only a record of the same type
+    with equal fields, hashes over its fields, prints as
+    ``Name(field=value, ...)``, and refuses assignment with AttributeError.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        if len(args) > len(cls._fields) or not set(kwargs) <= set(cls._fields[len(args):]):
+            raise TypeError(f"{cls.__qualname__}() got too many or unexpected arguments")
+        values = {**cls._defaults, **dict(zip(cls._fields, args)), **kwargs}
+        missing = [f for f in cls._fields if f not in values]
+        if missing:
+            raise TypeError(f"{cls.__qualname__}() missing arguments: {', '.join(missing)}")
+        return tuple(values[f] for f in cls._fields)
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([self.__dict__[f] for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({items})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def rational_from_str(text: str) -> Fraction:
@@ -61,7 +122,7 @@ def _coeff(value: object) -> Coeff:
         return Fraction(0) if value.is_zero else value
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"cannot use {type(value).__name__} as a polynomial coefficient")
 
@@ -248,8 +309,7 @@ def nest_inner(p: Poly) -> Poly:
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class RatMatrix:
+class RatMatrix(Record):
     """Dense rectangular matrix of Fractions; entries go through as_fraction."""
 
     entries: tuple[tuple[Fraction, ...], ...]
@@ -355,7 +415,7 @@ def row_space_basis(vectors: Iterable[Sequence[Fraction]]) -> tuple[tuple[Fracti
     The output is canonical: two spans are equal iff their bases are equal
     tuples, and re-reducing a basis returns it unchanged.
     """
-    mat = [[Fraction(e) for e in v] for v in vectors]
+    mat = [[as_fraction(e) for e in v] for v in vectors]
     widths = {len(row) for row in mat}
     if len(widths) > 1:
         raise ValueError("vectors must all have the same length")
@@ -366,7 +426,7 @@ def row_space_basis(vectors: Iterable[Sequence[Fraction]]) -> tuple[tuple[Fracti
 def span_residual(vector: Sequence[Fraction],
                   basis: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
     """Residual of a vector after elimination against an RREF basis."""
-    res = [Fraction(e) for e in vector]
+    res = [as_fraction(e) for e in vector]
     for row in basis:
         pivot = next(i for i, e in enumerate(row) if e)
         f = res[pivot]
@@ -381,7 +441,7 @@ def in_row_space(vector: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]
 
 def nullspace(rows: Sequence[Sequence[Fraction]], n_cols: int) -> tuple[tuple[Fraction, ...], ...]:
     """Basis of the solution space of the homogeneous system rows * x = 0."""
-    mat = [[Fraction(e) for e in row] for row in rows]
+    mat = [[as_fraction(e) for e in row] for row in rows]
     pivots = _rref_inplace(mat)
     free = [c for c in range(n_cols) if c not in pivots]
     basis = []

@@ -21,22 +21,35 @@ with no scaling factors.  This is the single place where group coordinates
 and algebra coordinates are tied together; the test suite verifies the
 tangent brackets against the algebra's structure table.
 
-The logarithm is in closed form, with no matrices.  Write g as the pair
-(c, f) with f(t) = b + sum_k a_k t^k, and an algebra element as (c, phi)
-with phi(t) = sum_k phi_k t^k, phi_k its A_k coordinate and phi_0 its B
-coordinate.  Then exp(c, phi) = (c, sum_k (-c)^k D^k phi / (k+1)!) with
-D = d/dt, a finite sum because D is nilpotent on polynomials of degree
+Write g as the pair (c, f) with f(t) = b + sum_k a_k t^k.  The matrix
+product is then the shift law of the model filiform group R x| P_{<=n}
+(Vergne 1970):
+
+    (c1, f1)(c2, f2) = (c1 + c2, f1(t - c2) + f2(t)),
+
+so g^(-1) = (-c, -f(t + c)) and the commutator g1^(-1) g2^(-1) g1 g2 is
+
+    (0, f1(t - c2) - f1(t) - f2(t - c1) + f2(t)).
+
+ginv and commutator use these closed forms through one helper for the
+shift difference f(t - s) - f(t); gmul stays the matrix product, which
+check_h_connected compares them against.
+
+The logarithm is in closed form, with no matrices.  Write an algebra element
+as (c, phi) with phi(t) = sum_k phi_k t^k, phi_k its A_k coordinate and
+phi_0 its B coordinate.  Then exp(c, phi) = (c, sum_k (-c)^k D^k phi / (k+1)!)
+with D = d/dt, a finite sum because D is nilpotent on polynomials of degree
 <= n; glog solves that triangular system for phi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 from .algebra import AlgebraElement
-from .exact import RatMatrix, as_fraction, rational_from_str
+from .exact import RatMatrix, Record, _integer_scaled, as_fraction, rational_from_str
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -50,8 +63,7 @@ class PatternMatchError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     """Group element g(c, a_1, ..., a_n, b).
 
     Parameters go through exact.as_fraction: Fraction objects are kept,
@@ -144,25 +156,46 @@ def gmul(g1: GroupElement, g2: GroupElement) -> GroupElement:
     return from_matrix(to_matrix(g1) @ to_matrix(g2))
 
 
-def ginv(g: GroupElement) -> GroupElement:
-    """Group inverse, read off row 0 of g g' = 1 (a indexed from 1).
+def _shift_difference(f: Sequence[Fraction], s: Fraction) -> list[Fraction]:
+    """Ascending coefficients of f(t - s) - f(t) from those of f, fraction-free.
 
-        c' = -c,
-        a'_j = -(sum over k >= j of C(k, k-j) c^(k-j) a_k),
-        b' = -(b + sum over k >= 1 of a_k c^k).
+    The t^j coefficient is sum over k > j of C(k, j) (-s)^(k-j) f_k.  With
+    s = p/q in lowest terms and F = D f integral for the lcm D of the
+    denominators of f, it equals
+
+        sum over k > j of C(k, j) (-p)^(k-j) q^(n-k+j) F_k / (D q^n),
+
+    one integer dot product reduced to one Fraction, as in RatMatrix @.
     """
-    n, a = g.n, g.a
-    c_pow = [g.c ** k for k in range(n + 1)]
-    inv_a = tuple(-sum(comb(k, k - j) * c_pow[k - j] * a[k - 1] for k in range(j, n + 1))
-                  for j in range(1, n + 1))
-    b = -sum((ak * c_pow[k] for k, ak in enumerate(a, start=1)), g.b)
-    return GroupElement(n, -g.c, inv_a, b)
+    n = len(f) - 1
+    if not s:
+        return [_ZERO] * (n + 1)
+    den, ints = _integer_scaled(f)
+    den *= s.denominator ** n
+    p_pow = [(-s.numerator) ** m for m in range(n + 1)]
+    q_pow = [s.denominator ** m for m in range(n + 1)]
+    return [Fraction(num, den) if (num := sum(comb(k, j) * p_pow[k - j] * q_pow[n - k + j] * ints[k]
+                                              for k in range(j + 1, n + 1) if ints[k])) else _ZERO
+            for j in range(n + 1)]
+
+
+def ginv(g: GroupElement) -> GroupElement:
+    """Group inverse in closed form: g^(-1) = (-c, -f(t + c)), f = b + sum_k a_k t^k."""
+    f = (g.b, *g.a)
+    inv = [-(x + d) for x, d in zip(f, _shift_difference(f, -g.c))]
+    return GroupElement(g.n, -g.c, tuple(inv[1:]), inv[0])
 
 
 def commutator(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """g1^(-1) g2^(-1) g1 g2, computed as (g2 g1)^(-1) (g1 g2)."""
+    """g1^(-1) g2^(-1) g1 g2 in closed form.
+
+    With g_i = (c_i, f_i) the shift law gives
+    (0, (f1(t - c2) - f1(t)) - (f2(t - c1) - f2(t))), so c is always 0.
+    """
     _same_n(g1, g2)
-    return gmul(ginv(gmul(g2, g1)), gmul(g1, g2))
+    d = [d1 - d2 for d1, d2 in zip(_shift_difference((g1.b, *g1.a), g2.c),
+                                   _shift_difference((g2.b, *g2.a), g1.c))]
+    return GroupElement(g1.n, _ZERO, tuple(d[1:]), d[0])
 
 
 def decompose(g: GroupElement) -> tuple[GroupElement, GroupElement]:

@@ -14,10 +14,10 @@ affine in z1 and z2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import Poly, PolyKind, RatMatrix, nest_inner, nest_outer, rational_from_str
+from .exact import (Poly, PolyKind, RatMatrix, Record, as_fraction, nest_inner, nest_outer,
+                    rational_from_str)
 from .group import GroupElement, decompose, gmul
 
 __all__ = [
@@ -44,20 +44,18 @@ class SpecError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class LoopSpec:
+class LoopSpec(Record):
     """n polynomials v_1..v_n with v_i(0) = 0, defining the multiplication.
 
     This class is the one place that knows what a valid spec is: n is an int
     >= 1 (never a bool), v holds exactly n polynomials, and each satisfies
     the identity condition.  The properness flag and its reasons are
-    computed once here.
+    computed once here; they are attributes, not fields, so they take no
+    part in the constructor, equality or repr.
     """
 
     n: int
     v: tuple[Poly, ...]
-    proper: bool = field(init=False, compare=False, repr=False)
-    proper_reasons: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
@@ -78,8 +76,11 @@ class LoopSpec:
             elif idx == self.n and kind is PolyKind.LINEAR:
                 reasons.append(f"v{idx} must be non-linear")
         object.__setattr__(self, "v", polys)
-        object.__setattr__(self, "proper", not reasons)
         object.__setattr__(self, "proper_reasons", tuple(reasons))
+
+    @property
+    def proper(self) -> bool:
+        return not self.proper_reasons
 
     def to_json(self) -> dict:
         return {"n": self.n, "v": [p.to_strings() for p in self.v]}
@@ -110,14 +111,16 @@ class LoopSpec:
         return cls(data.get("n"), tuple(polys))
 
 
-@dataclass(frozen=True)
-class LoopPoint:
+class LoopPoint(Record):
+    """A point (u, z); both go through exact.as_fraction, so floats and bools
+    raise TypeError."""
+
     u: Fraction
     z: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "z", Fraction(self.z))
+        object.__setattr__(self, "u", as_fraction(self.u))
+        object.__setattr__(self, "z", as_fraction(self.z))
 
     @classmethod
     def origin(cls) -> LoopPoint:
@@ -186,8 +189,7 @@ def section_solve(spec: LoopSpec, source: LoopPoint,
     return LoopPoint(u, z), h_part.a
 
 
-@dataclass(frozen=True)
-class CommMatrix:
+class CommMatrix(Record):
     """Coefficient matrix A with v_i(x) = sum_j A[i][j] x^j."""
 
     n: int

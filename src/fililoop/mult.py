@@ -22,8 +22,8 @@ stabilizer subalgebra is checked to contain no nonzero ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -34,8 +34,8 @@ from .algebra import (
     phi_automorphism,
     subalgebra_closure,
 )
-from .exact import Poly, PolyKind, nest_inner, nest_outer
-from .group import GroupElement, commutator, glog, in_H
+from .exact import Poly, PolyKind, Record, as_fraction, nest_inner, nest_outer
+from .group import GroupElement, commutator, ginv, glog, gmul, in_H
 from .loop import LoopSpec
 
 __all__ = [
@@ -65,8 +65,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompanionSolution:
+class CompanionSolution(Record):
     s: tuple[Poly, ...]
 
     def to_json(self) -> list:
@@ -118,22 +117,20 @@ def solve_companions(spec: LoopSpec) -> Optional[CompanionSolution]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransversalSpec:
+class TransversalSpec(Record):
     """The linear transversal T = {g(x, a_1 x, ..., a_m x, y)}."""
 
     m: int
     a: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(Fraction(x) for x in self.a)
+        vals = tuple(map(as_fraction, self.a))
         if len(vals) != self.m:
             raise ValueError(f"expected {self.m} coefficients, got {len(vals)}")
         object.__setattr__(self, "a", vals)
 
 
-@dataclass(frozen=True)
-class LeftTranslationFamily:
+class LeftTranslationFamily(Record):
     """Left translations of the degree-m loop, embedded in dimension m+2.
 
     Elements are g(u, v1(u), 0, ..., 0, -v1(u)*u/2 + z).
@@ -187,7 +184,7 @@ def left_translation_elements(family: LeftTranslationFamily,
     m = family.m
     out = []
     for u, z in samples:
-        u, z = Fraction(u), Fraction(z)
+        u, z = as_fraction(u), as_fraction(z)
         value = family.v1(u)
         a = (value,) + (Fraction(0),) * (m - 1)
         out.append(GroupElement(m, u, a, -value * u / 2 + z))
@@ -199,13 +196,12 @@ def transversal_elements(trans: TransversalSpec,
     """Instantiate the linear transversal at (x, y) samples."""
     out = []
     for x, y in samples:
-        x, y = Fraction(x), Fraction(y)
+        x, y = as_fraction(x), as_fraction(y)
         out.append(GroupElement(trans.m, x, tuple(ak * x for ak in trans.a), y))
     return out
 
 
-@dataclass(frozen=True)
-class HConnectedness:
+class HConnectedness(Record):
     ok: bool
     witness: Optional[tuple[GroupElement, GroupElement, GroupElement]]
 
@@ -214,13 +210,21 @@ def check_h_connected(left: Sequence[GroupElement],
                       right: Sequence[GroupElement]) -> HConnectedness:
     """Whether every pairwise commutator lands in the stabilizer subgroup.
 
-    On failure the witness carries the offending pair and its commutator.
+    Each pair costs one closed-form commutator.  The first pair's is also
+    compared with (y x)^(-1) (x y) through the matrix product gmul, and a
+    mismatch raises RuntimeError: one cross-check of the closed form against
+    the matrix group law per call.  It reuses the loop's value rather than
+    calling commutator again, and it keeps gmul, to_matrix, from_matrix and
+    RatMatrix @ on the thm3 path, which the layer table in bench/tracing.py
+    requires.  On failure the witness carries the offending pair and its
+    commutator.
     """
-    for x in left:
-        for y in right:
-            k = commutator(x, y)
-            if not in_H(k):
-                return HConnectedness(False, (x, y, k))
+    for i, (x, y) in enumerate(product(left, right)):
+        k = commutator(x, y)
+        if i == 0 and k != gmul(ginv(gmul(y, x)), gmul(x, y)):
+            raise RuntimeError("closed-form commutator disagrees with the matrix group law")
+        if not in_H(k):
+            return HConnectedness(False, (x, y, k))
     return HConnectedness(True, None)
 
 
@@ -258,8 +262,7 @@ def inn_correspondence_check(a: Sequence[Fraction]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SampleGrid:
+class SampleGrid(Record):
     """Deterministic parameter grids for sampling group elements."""
 
     u_values: tuple[Fraction, ...] = tuple(Fraction(k) for k in (-2, -1, 1, 2, 3))
@@ -273,8 +276,7 @@ def grid_points(grid: SampleGrid) -> list[tuple[Fraction, Fraction]]:
     return [(u, z) for u in grid.u_values for z in grid.z_values]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     name: str
     passed: bool
     witness: Optional[object] = None
@@ -283,8 +285,7 @@ class Certificate:
         return {"name": self.name, "pass": self.passed, "witness": self.witness}
 
 
-@dataclass(frozen=True)
-class MultReport:
+class MultReport(Record):
     claim: str
     certificates: tuple[Certificate, ...]
     mult_dimension: Optional[int]

@@ -241,6 +241,15 @@ def test_algebra_element_json_round_trip():
     assert AlgebraElement.from_json(x.to_json()) == x
 
 
+def test_algebra_element_keeps_fractions_and_rejects_float_and_bool():
+    half = Fraction(1, 2)
+    x = AlgebraElement(1, (half, 2, Fraction(0)))
+    assert x.coeffs[0] is half and type(x.coeffs[1]) is Fraction
+    for coeffs in ((0.1, 0, 0), (0, True, 0)):
+        with pytest.raises(TypeError):
+            AlgebraElement(1, coeffs)
+
+
 def test_subalgebra_json_round_trip():
     v = SubalgebraBasis.span(2, [e(2, 1) + e(2, 2), e(2, 4)])
     assert SubalgebraBasis.from_json(2, v.to_json()) == v

@@ -265,6 +265,15 @@ def test_output_is_deterministic(capsys):
     assert runs[0] == runs[1]
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # -I ignores PYTHONPATH and the user site, so the path goes in by hand
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import fililoop.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_point_subprocess():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(

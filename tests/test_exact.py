@@ -16,7 +16,9 @@ from fililoop.exact import (
     rational_from_str,
     rational_to_str,
     row_space_basis,
+    span_residual,
 )
+from fililoop.mult import Certificate, SampleGrid
 
 from helpers import rand_fraction
 
@@ -84,6 +86,12 @@ def test_poly_trims_trailing_zeros():
     assert Poly([F(1, 2)]).degree == 0
 
 
+def test_poly_rejects_bool_and_float_coefficients():
+    for coeffs in ([0, True], [False], [0, 0.5]):
+        with pytest.raises(TypeError):
+            Poly(coeffs)
+
+
 def test_poly_strings_round_trip():
     p = Poly.from_strings(["0", "-1/2", "3"])
     assert p.to_strings() == ["0", "-1/2", "3"]
@@ -138,6 +146,51 @@ def test_nullspace_annihilates_and_has_corank_dimension():
         assert len(basis) == cols - a.rank
         for v in basis:
             assert not any(a.apply(v))
+
+
+def test_elimination_keeps_fractions_and_rejects_floats():
+    half = F(1, 2)
+    assert row_space_basis([(half, F(0))])[0][0] == 1
+    assert span_residual((half, 3), ())[0] is half
+    for call in (lambda: row_space_basis([(0.5, 1)]), lambda: span_residual((1, 0.5), ()),
+                 lambda: nullspace([(True, 1)], 2)):
+        with pytest.raises(TypeError):
+            call()
+
+
+# -- frozen records ----------------------------------------------------------------------
+
+def test_record_fields_defaults_and_repr():
+    cert = Certificate("h-connected", True)
+    assert (cert.name, cert.passed, cert.witness) == ("h-connected", True, None)
+    assert cert == Certificate(name="h-connected", passed=True, witness=None)
+    assert repr(cert) == "Certificate(name='h-connected', passed=True, witness=None)"
+    grid = SampleGrid()
+    assert grid.u_values == (F(-2), F(-1), F(1), F(2), F(3)) and grid.z_values == (F(0), F(1))
+    assert SampleGrid((F(1),)) == SampleGrid(u_values=(F(1),), z_values=grid.z_values)
+    assert repr(SampleGrid((F(1),), (F(0),))) == (
+        "SampleGrid(u_values=(Fraction(1, 1),), z_values=(Fraction(0, 1),))")
+    for bad in (lambda: Certificate("x"), lambda: Certificate("x", True, None, 1),
+                lambda: Certificate("x", True, colour=1), lambda: Certificate("x", True, name="y")):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_record_equality_hash_and_frozen():
+    cert = Certificate("generation", True, {"closure_dimension": 4})
+    assert cert == Certificate("generation", True, {"closure_dimension": 4})
+    assert cert != Certificate("generation", False, {"closure_dimension": 4})
+    grid = SampleGrid((F(1), F(2)), (F(0),))
+    assert hash(grid) == hash(SampleGrid((F(1), F(2)), (F(0),)))
+    assert len({grid, SampleGrid((F(1), F(2)), (F(0),)), SampleGrid()}) == 2
+    # equality holds only between records of the same type
+    assert grid != (grid.u_values, grid.z_values)
+    assert Certificate("a", True) != RatMatrix(((1,),))
+    for record, field in ((cert, "passed"), (grid, "u_values"), (grid, "other")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
 
 
 def test_matrix_product_and_rank():

@@ -71,6 +71,25 @@ def test_spec_flags_computed_at_construction():
     assert linear.proper_reasons == ("v1 must be non-linear",)
 
 
+def test_spec_equality_ignores_the_properness_attributes():
+    same = LoopSpec(1, (Poly([0, 0, 1]),))
+    assert same == SQUARE and hash(same) == hash(SQUARE)
+    assert repr(SQUARE) == "LoopSpec(n=1, v=(Poly([0, 0, 1]),))"
+    with pytest.raises(TypeError):
+        LoopSpec(1, (Poly([0, 0, 1]),), True)
+    with pytest.raises(AttributeError):
+        SQUARE.proper_reasons = ()
+
+
+def test_loop_point_keeps_fractions_and_rejects_float_and_bool():
+    third = F(1, 3)
+    p = LoopPoint(third, 2)
+    assert p.u is third and p.z == 2 and type(p.z) is Fraction
+    for args in ((0.1, 0), (0, 2.5), (True, 0)):
+        with pytest.raises(TypeError):
+            LoopPoint(*args)
+
+
 def test_spec_json_round_trip():
     assert LoopSpec.from_json(COMM4.to_json()) == COMM4
     # unknown top-level keys are ignored

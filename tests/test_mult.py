@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from fililoop import mult
 from fililoop.exact import Poly, RatMatrix
 from fililoop.algebra import basis_element
 from fililoop.group import GroupElement, commutator, in_H
@@ -162,6 +163,17 @@ def test_h_connected_false_with_witness():
     x, y, k = result.witness
     assert commutator(x, y) == k
     assert not in_H(k)
+
+
+def test_h_connected_cross_check_refuses_a_wrong_commutator(monkeypatch):
+    # a commutator that always lands in H would pass every pair unchecked
+    fam = LeftTranslationFamily(2, SQUARE_POLY)
+    trans = h_connected_transversal(SQUARE_POLY)
+    lam = left_translation_elements(fam, grid_points(DEFAULT_GRID))
+    t = transversal_elements(trans, grid_points(DEFAULT_GRID))
+    monkeypatch.setattr(mult, "commutator", lambda x, y: GroupElement.identity(x.n))
+    with pytest.raises(RuntimeError):
+        check_h_connected(lam, t)
 
 
 def test_h_connected_against_identity():

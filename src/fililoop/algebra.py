@@ -68,7 +68,7 @@ class AlgebraElement(Record):
     def __mul__(self, scalar: object) -> AlgebraElement:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        f = Fraction(scalar)
+        f = as_fraction(scalar)
         return AlgebraElement(self.n, tuple(f * c for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -240,11 +240,17 @@ def classify_subalgebra(v: SubalgebraBasis) -> Optional[SubalgebraForm]:
 
 
 def core_ideal(h: SubalgebraBasis) -> SubalgebraBasis:
-    """Largest ideal of the full algebra contained in the subspace h."""
+    """Largest ideal of the full algebra contained in the subspace h.
+
+    Each round keeps the x with [e_1, x] and [e_2, x] in the current subspace.
+    Every ideal inside h survives, and the fixed point I is an ideal: the y
+    with [y, I] inside I form a subalgebra holding e_1 and e_2, which generate
+    the algebra because [e_1, e_i] = (n+2-i) e_{i+1}.
+    """
     if not h.is_bracket_closed():
         raise NotClosedError("subspace is not closed under the bracket")
     n = h.n
-    generators = [basis_element(n, i) for i in range(1, n + 3)]
+    generators = [basis_element(n, 1), basis_element(n, 2)]
     current = h
     while current.dimension > 0:
         rows = current.coord_rows()

@@ -248,7 +248,8 @@ class Poly:
 
     def __mul__(self, other: object) -> Poly:
         if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * Fraction(other) for c in self.coeffs))
+            other = _coeff(other)
+            return Poly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Poly):
             return NotImplemented
         if self.is_zero or other.is_zero:
@@ -267,7 +268,9 @@ class Poly:
         return NotImplemented
 
     def __call__(self, point: object):
-        """Evaluate by Horner's rule; exact for Fraction or Poly arguments."""
+        """Horner evaluation at an int, Fraction or Poly point; float and bool raise TypeError."""
+        if isinstance(point, (float, bool)):
+            raise TypeError(f"cannot evaluate at a {type(point).__name__}")
         result: object = 0
         for c in reversed(self.coeffs):
             result = result * point + c

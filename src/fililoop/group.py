@@ -1,13 +1,26 @@
-"""The simply connected filiform group as exact unipotent matrices.
+"""The simply connected filiform group G_n = R x| P_{<=n} in closed form.
 
-An element g(c, a_1, ..., a_n, b) is the (n+2) x (n+2) matrix whose row 0 is
-(1, a_1, ..., a_n, b), whose row k for 1 <= k <= n has 1 on the diagonal,
-band entries (-1)^(k-j) C(k, k-j) c^(k-j) in column j for 1 <= j < k and
-(-c)^k in the last column, and whose bottom row is (0, ..., 0, 1).  The rows
-1..n+1 restricted to columns 1..n+1 form the substitution matrix
-p(t) -> p(t - c) on the basis (t, t^2, ..., t^n, 1), which is why the c
-parameter adds under multiplication; test_group checks this one-parameter
-closure for n <= 6 before anything else relies on the band formula.
+An element g(c, a_1, ..., a_n, b) is the pair (c, f) with
+f(t) = b + sum_k a_k t^k.  The group law is the shift law of the model
+filiform group (Vergne 1970):
+
+    (c1, f1)(c2, f2) = (c1 + c2, f1(t - c2) + f2(t)),
+
+so g^(-1) = (-c, -f(t + c)) and the commutator g1^(-1) g2^(-1) g1 g2 is
+
+    (0, f1(t - c2) - f1(t) - f2(t - c1) + f2(t)).
+
+gmul, ginv and commutator compute these through one helper for the shift
+difference f(t - s) - f(t).
+
+to_matrix is the unipotent (n+2) x (n+2) realization: row 0 is
+(1, a_1, ..., a_n, b), row k for 1 <= k <= n has 1 on the diagonal, band
+entries (-1)^(k-j) C(k, k-j) c^(k-j) in column j for 1 <= j < k and (-c)^k
+in the last column, and the bottom row is (0, ..., 0, 1).  Rows 1..n+1
+restricted to columns 1..n+1 form the substitution matrix p(t) -> p(t - c)
+on the basis (t, t^2, ..., t^n, 1).  It and from_matrix are the reference
+the shift law is checked against: by acceptance criterion 1, by the test
+oracles, and once per check_h_connected call.
 
 Tangent coordinates: differentiating the one-parameter families through the
 identity gives matrices C (the c direction), A_i (the a_i directions) and B
@@ -20,20 +33,6 @@ identification
 with no scaling factors.  This is the single place where group coordinates
 and algebra coordinates are tied together; the test suite verifies the
 tangent brackets against the algebra's structure table.
-
-Write g as the pair (c, f) with f(t) = b + sum_k a_k t^k.  The matrix
-product is then the shift law of the model filiform group R x| P_{<=n}
-(Vergne 1970):
-
-    (c1, f1)(c2, f2) = (c1 + c2, f1(t - c2) + f2(t)),
-
-so g^(-1) = (-c, -f(t + c)) and the commutator g1^(-1) g2^(-1) g1 g2 is
-
-    (0, f1(t - c2) - f1(t) - f2(t - c1) + f2(t)).
-
-ginv and commutator use these closed forms through one helper for the
-shift difference f(t - s) - f(t); gmul stays the matrix product, which
-check_h_connected compares them against.
 
 The logarithm is in closed form, with no matrices.  Write an algebra element
 as (c, phi) with phi(t) = sum_k phi_k t^k, phi_k its A_k coordinate and
@@ -56,11 +55,7 @@ _ONE = Fraction(1)
 
 
 class PatternMatchError(RuntimeError):
-    """A product left the parametric matrix family.
-
-    This cannot happen for well-formed inputs; it signals an implementation
-    bug in the matrix layout.
-    """
+    """from_matrix was given a matrix outside the parametric family."""
 
 
 class GroupElement(Record):
@@ -135,7 +130,7 @@ def from_matrix(m: RatMatrix) -> GroupElement:
     """Pattern-match a matrix back onto the parametric family.
 
     Raises PatternMatchError when the matrix does not have the exact shape
-    of some g(c, a, b); matching doubles as a closure check for products.
+    of some g(c, a, b).
     """
     size = m.rows
     if m.cols != size or size < 3:
@@ -148,12 +143,6 @@ def from_matrix(m: RatMatrix) -> GroupElement:
     if to_matrix(candidate) != m:
         raise PatternMatchError("matrix does not match the parametric family")
     return candidate
-
-
-def gmul(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """Group product, computed as a matrix product plus pattern match."""
-    _same_n(g1, g2)
-    return from_matrix(to_matrix(g1) @ to_matrix(g2))
 
 
 def _shift_difference(f: Sequence[Fraction], s: Fraction) -> list[Fraction]:
@@ -179,6 +168,14 @@ def _shift_difference(f: Sequence[Fraction], s: Fraction) -> list[Fraction]:
             for j in range(n + 1)]
 
 
+def gmul(g1: GroupElement, g2: GroupElement) -> GroupElement:
+    """Group product in closed form: (c1 + c2, f1 + f2 + (f1(t - c2) - f1(t)))."""
+    _same_n(g1, g2)
+    f1 = (g1.b, *g1.a)
+    f = [x + y + d for x, y, d in zip(f1, (g2.b, *g2.a), _shift_difference(f1, g2.c))]
+    return GroupElement(g1.n, g1.c + g2.c, tuple(f[1:]), f[0])
+
+
 def ginv(g: GroupElement) -> GroupElement:
     """Group inverse in closed form: g^(-1) = (-c, -f(t + c)), f = b + sum_k a_k t^k."""
     f = (g.b, *g.a)
@@ -201,11 +198,7 @@ def commutator(g1: GroupElement, g2: GroupElement) -> GroupElement:
 def decompose(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     """Unique factorization g = slice * h with slice = g(c, 0, b), h in H."""
     n = g.n
-    slice_part = GroupElement(n, g.c, (_ZERO,) * n, g.b)
-    h_part = GroupElement(n, _ZERO, g.a, _ZERO)
-    if gmul(slice_part, h_part) != g:
-        raise PatternMatchError("decomposition failed to reproduce the element")
-    return slice_part, h_part
+    return GroupElement(n, g.c, (_ZERO,) * n, g.b), GroupElement(n, _ZERO, g.a, _ZERO)
 
 
 def glog(g: GroupElement) -> AlgebraElement:

@@ -35,7 +35,7 @@ from .algebra import (
     subalgebra_closure,
 )
 from .exact import Poly, PolyKind, Record, as_fraction, nest_inner, nest_outer
-from .group import GroupElement, commutator, ginv, glog, gmul, in_H
+from .group import GroupElement, commutator, from_matrix, ginv, glog, gmul, in_H, to_matrix
 from .loop import LoopSpec
 
 __all__ = [
@@ -211,18 +211,15 @@ def check_h_connected(left: Sequence[GroupElement],
     """Whether every pairwise commutator lands in the stabilizer subgroup.
 
     Each pair costs one closed-form commutator.  The first pair's is also
-    compared with (y x)^(-1) (x y) through the matrix product gmul, and a
-    mismatch raises RuntimeError: one cross-check of the closed form against
-    the matrix group law per call.  It reuses the loop's value rather than
-    calling commutator again, and it keeps gmul, to_matrix, from_matrix and
-    RatMatrix @ on the thm3 path, which the layer table in bench/tracing.py
-    requires.  On failure the witness carries the offending pair and its
-    commutator.
+    checked against (y x)^(-1) (x y) through the matrix realization, which
+    tests gmul, ginv and commutator together and keeps the matrix layer on
+    the thm3 path bench/tracing.py requires; a mismatch raises RuntimeError.
+    On failure the witness carries the offending pair and its commutator.
     """
     for i, (x, y) in enumerate(product(left, right)):
         k = commutator(x, y)
-        if i == 0 and k != gmul(ginv(gmul(y, x)), gmul(x, y)):
-            raise RuntimeError("closed-form commutator disagrees with the matrix group law")
+        if i == 0 and k != from_matrix(to_matrix(ginv(gmul(y, x))) @ to_matrix(gmul(x, y))):
+            raise RuntimeError("closed-form group law disagrees with the matrix realization")
         if not in_H(k):
             return HConnectedness(False, (x, y, k))
     return HConnectedness(True, None)

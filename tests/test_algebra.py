@@ -166,6 +166,43 @@ def test_core_ideal_is_an_ideal_inside_h():
                 assert core.contains(bracket(e(n, j), b))
 
 
+def sparse_algebra_element(rng, n):
+    """A random element with about half its coefficients zero, often
+    supported on a tail e_k, ..., e_{n+2}, so closures are often proper."""
+    lo = rng.choice([1, 1, 2, 3, rng.randint(1, n + 2)])
+    return AlgebraElement(n, tuple(rand_fraction(rng) if i >= lo and rng.random() < 0.5 else Fraction(0)
+                                   for i in range(1, n + 3)))
+
+
+def core_oracle(h):
+    """The largest ideal inside h, read off the ideal lattice.
+
+    e_1 acts on the abelian ideal span{e_2, ..., e_{n+2}} as one shift, so a
+    subspace is an ideal iff it contains the derived algebra
+    span{e_3, ..., e_{n+2}} or is a tail span{e_k, ..., e_{n+2}}.
+    """
+    n = h.n
+    k = 3
+    while not all(h.contains(e(n, j)) for j in range(k, n + 3)):
+        k += 1
+    return h if k == 3 else SubalgebraBasis.span(n, [e(n, j) for j in range(k, n + 3)])
+
+
+def test_core_ideal_matches_the_ideal_lattice():
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        gens = [sparse_algebra_element(rng, n) for _ in range(rng.randint(1, 3))]
+        if all(g.is_zero for g in gens):
+            continue
+        h = subalgebra_closure(gens)
+        core = core_oracle(h)
+        assert core_ideal(h) == core
+        kinds.add("zero" if not core.dimension else "h" if core == h else "tail")
+    assert kinds == {"zero", "h", "tail"}
+
+
 # -- inn subalgebra and the straightening automorphism ----------------------------
 
 def test_inn_subalgebra_examples():
@@ -248,6 +285,16 @@ def test_algebra_element_keeps_fractions_and_rejects_float_and_bool():
     for coeffs in ((0.1, 0, 0), (0, True, 0)):
         with pytest.raises(TypeError):
             AlgebraElement(1, coeffs)
+
+
+def test_algebra_element_scalar_must_be_exact():
+    x = AlgebraElement(1, (1, 2, 3))
+    for bad in (0.5, True, False):
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            bad * x
+    assert 2 * x == x * Fraction(2) == AlgebraElement(1, (2, 4, 6))
 
 
 def test_subalgebra_json_round_trip():

@@ -92,6 +92,18 @@ def test_poly_rejects_bool_and_float_coefficients():
             Poly(coeffs)
 
 
+def test_poly_refuses_float_and_bool_points_and_scalars():
+    x = Poly([0, 1])
+    for bad in (0.1, 0.5, True, False):
+        with pytest.raises(TypeError):
+            x(bad)
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            bad * x
+    assert x(F(1, 2)) == F(1, 2) and x(3) == 3 and 2 * x == x * F(2) == Poly([0, 2])
+
+
 def test_poly_strings_round_trip():
     p = Poly.from_strings(["0", "-1/2", "3"])
     assert p.to_strings() == ["0", "-1/2", "3"]

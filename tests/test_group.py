@@ -44,6 +44,13 @@ def rand_non_integral(rng):
             return x
 
 
+def rand_shifting_element(rng, n):
+    """A random g(c, a, b) with non-integral c, so every binomial term of the
+    shift by c has a denominator."""
+    return GroupElement(n, rand_non_integral(rng), tuple(rand_fraction(rng) for _ in range(n)),
+                        rand_fraction(rng))
+
+
 # -- matrix-series oracles ---------------------------------------------------------
 
 def scaled(m, factor):
@@ -110,8 +117,7 @@ def test_to_matrix_n2_band_row():
 
 
 def test_one_parameter_closure_in_c():
-    # products of pure-c elements must stay pure-c with added parameters,
-    # which validates the binomial band inside the matrix layout
+    # products of pure-c elements must stay pure-c with added parameters
     rng = random.Random(3)
     for n in range(1, 7):
         zeros = (F(0),) * n
@@ -127,8 +133,7 @@ def test_to_matrix_matches_band_formula():
     rng = random.Random(5)
     for n in range(1, 11):
         for _ in range(3):
-            g = GroupElement(n, rand_non_integral(rng), tuple(rand_fraction(rng) for _ in range(n)),
-                             rand_fraction(rng))
+            g = rand_shifting_element(rng, n)
             size = n + 2
             rows = [[F(0)] * size for _ in range(size)]
             rows[0] = [F(1), *g.a, g.b]
@@ -154,11 +159,12 @@ def test_gmul_hand_examples():
 
 
 def test_gmul_matches_matrix_product():
+    # the closed-form shift law against the matrix realization, with
+    # non-integral c on both sides
     rng = random.Random(7)
-    for n in range(1, 6):
-        for _ in range(20):
-            x = rand_group_element(rng, n)
-            y = rand_group_element(rng, n)
+    for n in range(1, 11):
+        for _ in range(8):
+            x, y = rand_shifting_element(rng, n), rand_shifting_element(rng, n)
             assert to_matrix(gmul(x, y)) == to_matrix(x) @ to_matrix(y)
 
 
@@ -229,12 +235,11 @@ def test_commutator_examples():
 def test_commutator_is_the_four_product_definition():
     # X^(-1) Y^(-1) X Y from to_matrix, the series inverse and RatMatrix
     # products only, so no part of the closed-form shift law is on the
-    # oracle side; c is non-integral so every binomial term has a denominator
+    # oracle side
     rng = random.Random(27)
     for n in range(1, 11):
         for _ in range(4):
-            x, y = (GroupElement(n, rand_non_integral(rng), tuple(rand_fraction(rng) for _ in range(n)),
-                                 rand_fraction(rng)) for _ in range(2))
+            x, y = rand_shifting_element(rng, n), rand_shifting_element(rng, n)
             k = commutator(x, y)
             assert k.c == 0
             assert to_matrix(k) == series_inverse(x) @ series_inverse(y) @ to_matrix(x) @ to_matrix(y)

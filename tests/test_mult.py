@@ -166,14 +166,21 @@ def test_h_connected_false_with_witness():
 
 
 def test_h_connected_cross_check_refuses_a_wrong_commutator(monkeypatch):
-    # a commutator that always lands in H would pass every pair unchecked
+    # a commutator that always lands in H would pass every pair unchecked, and
+    # a product that forgets the shift makes (y x)^(-1) (x y) the identity
+    def abelian(x, y):
+        return GroupElement(x.n, x.c + y.c, tuple(p + q for p, q in zip(x.a, y.a)), x.b + y.b)
+
     fam = LeftTranslationFamily(2, SQUARE_POLY)
     trans = h_connected_transversal(SQUARE_POLY)
     lam = left_translation_elements(fam, grid_points(DEFAULT_GRID))
     t = transversal_elements(trans, grid_points(DEFAULT_GRID))
-    monkeypatch.setattr(mult, "commutator", lambda x, y: GroupElement.identity(x.n))
-    with pytest.raises(RuntimeError):
-        check_h_connected(lam, t)
+    for name, wrong in (("commutator", lambda x, y: GroupElement.identity(x.n)), ("gmul", abelian)):
+        with monkeypatch.context() as patch:
+            patch.setattr(mult, name, wrong)
+            with pytest.raises(RuntimeError):
+                check_h_connected(lam, t)
+    assert check_h_connected(lam, t).ok
 
 
 def test_h_connected_against_identity():

@@ -98,9 +98,12 @@ def basis_element(n: int, i: int) -> AlgebraElement:
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Lie bracket [x, y]."""
+    """Lie bracket [x, y]; zero at once when neither has an e_1 component,
+    because span{e_2, ..., e_{n+2}} is abelian."""
     _same_n(x, y)
     n = x.n
+    if not x.coeffs[0] and not y.coeffs[0]:
+        return zero_element(n)
     out = [Fraction(0)] * (n + 2)
     for i in range(2, n + 2):
         w = x.coeffs[0] * y.coeffs[i - 1] - y.coeffs[0] * x.coeffs[i - 1]
@@ -141,13 +144,9 @@ class SubalgebraBasis(Record):
         return in_row_space(element.coeffs, self.coord_rows())
 
     def is_bracket_closed(self) -> bool:
-        rows = self.coord_rows()
-        items = self.basis
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                if not in_row_space(bracket(items[i], items[j]).coeffs, rows):
-                    return False
-        return True
+        rows, items = self.coord_rows(), self.basis
+        return all(in_row_space(bracket(items[i], items[j]).coeffs, rows)
+                   for i in range(len(items)) for j in range(i + 1, len(items)))
 
     def is_commutative(self) -> bool:
         items = self.basis
@@ -178,23 +177,27 @@ def lower_central_series(n: int) -> list[SubalgebraBasis]:
 
 
 def subalgebra_closure(generators: Sequence[AlgebraElement]) -> SubalgebraBasis:
-    """Smallest bracket-closed subspace containing the generators."""
+    """Smallest bracket-closed subspace containing the generators, in closed form.
+
+    A = span{e_2, ..., e_{n+2}} is an abelian ideal, and for x0 = e_1 + a with
+    a in A, ad x0 acts on A as ad e_1, sending e_i to (n+2-i) e_{i+1} != 0.  If
+    no generator has an e_1 component, their span V lies in A and is closed.
+    Otherwise V has RREF rows x0 = e_1 + a, then r_1, r_2, ... in A with
+    increasing pivots, e_j first.  [x0, r_1], [x0, [x0, r_1]], ... have pivots
+    e_{j+1}, ..., e_{n+2}, so the closure holds T = span{e_j, ..., e_{n+2}} and
+    with it every r_i; and span{x0} + T is closed, as ad x0 maps T into T and
+    T is abelian.  So the closure is span{x0} + T, with no pairwise brackets.
+    """
     if not generators:
         raise ValueError("need at least one generator")
     n = generators[0].n
-    current = SubalgebraBasis.span(n, generators)
-    while True:
-        rows = current.coord_rows()
-        fresh = []
-        items = current.basis
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                b = bracket(items[i], items[j])
-                if not b.is_zero and not in_row_space(b.coeffs, rows):
-                    fresh.append(b)
-        if not fresh:
-            return current
-        current = SubalgebraBasis.span(n, list(items) + fresh)
+    v = SubalgebraBasis.span(n, generators)
+    rows = v.coord_rows()
+    if not rows or not rows[0][0]:
+        return v
+    j = next(i for i, x in enumerate(rows[1]) if x) if len(rows) > 1 else n + 2
+    x0 = AlgebraElement(n, rows[0][:j] + (Fraction(0),) * (n + 2 - j))
+    return SubalgebraBasis(n, (x0, *(basis_element(n, i) for i in range(j + 1, n + 3))))
 
 
 class SubalgebraForm(Record):
@@ -267,13 +270,8 @@ def core_ideal(h: SubalgebraBasis) -> SubalgebraBasis:
         lam = nullspace(constraints, d)
         if len(lam) == d:
             return current
-        kept = []
-        for coeffs in lam:
-            acc = zero_element(n)
-            for c, b in zip(coeffs, current.basis):
-                if c:
-                    acc = acc + c * b
-            kept.append(acc)
+        kept = [sum((c * b for c, b in zip(coeffs, current.basis) if c), zero_element(n))
+                for coeffs in lam]
         current = SubalgebraBasis.span(n, kept)
     return current
 

@@ -9,7 +9,7 @@ represented as a :class:`Poly` in the outer variable whose coefficients are
 again ``Poly`` values in the inner variable (see :func:`nest_outer` and
 :func:`nest_inner`), so checking a two-variable identity reduces to all
 nested coefficients being zero.  Matrices are dense tuples of Fractions, and
-row reduction, ranks and nullspaces are exact Gaussian elimination.
+row reduction, ranks and nullspaces are fraction-free Gaussian elimination.
 
 Wire formats: a rational serializes as the string ``"p/q"``, or ``"p"`` when
 the denominator is 1; a polynomial serializes as a JSON array of such strings
@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -281,6 +281,8 @@ class Poly:
     # -- comparison / display ------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, bool):
+            return NotImplemented
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
         if not isinstance(other, Poly):
@@ -387,28 +389,44 @@ def _integer_scaled(vector: Sequence[Fraction]) -> tuple[int, list[int]]:
     return d, [e.numerator * (d // e.denominator) for e in vector]
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by its content, the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [e // g for e in row]
+
+
 def _rref_inplace(mat: list[list[Fraction]]) -> list[int]:
-    """Reduce to reduced row echelon form in place; return pivot columns."""
+    """Reduce to reduced row echelon form in place; return pivot columns.
+
+    Fraction-free (after Bareiss 1968): each row is scaled to integers by the
+    lcm of its denominators, a row is eliminated against the pivot row by
+    cross-multiplication and then divided by its content, and each pivot row
+    is divided by its pivot once at the end, one Fraction per entry.
+    """
     pivots: list[int] = []
     if not mat:
         return pivots
     n_rows, n_cols = len(mat), len(mat[0])
+    rows = [_primitive(_integer_scaled(row)[1]) for row in mat]
     r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if mat[i][c]), None)
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [e * inv for e in mat[r]]
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        top, p = rows[r], rows[r][c]
         for i in range(n_rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = _primitive([p * a - f * b for a, b in zip(rows[i], top)])
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
+    for i, c in enumerate(pivots):
+        p = rows[i][c]
+        mat[i] = [Fraction(e, p) if e else _ZERO for e in rows[i]]
+    mat[len(pivots):] = ([_ZERO] * n_cols for _ in range(n_rows - len(pivots)))
     return pivots
 
 

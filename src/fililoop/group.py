@@ -36,14 +36,16 @@ tangent brackets against the algebra's structure table.
 
 The logarithm is in closed form, with no matrices.  Write an algebra element
 as (c, phi) with phi(t) = sum_k phi_k t^k, phi_k its A_k coordinate and
-phi_0 its B coordinate.  Then exp(c, phi) = (c, sum_k (-c)^k D^k phi / (k+1)!)
-with D = d/dt, a finite sum because D is nilpotent on polynomials of degree
-<= n; glog solves that triangular system for phi.
+phi_0 its B coordinate.  Then exp(c, phi) = (c, ((e^x - 1) / x) phi) with
+x = -c D, D = d/dt, a finite series because D is nilpotent on polynomials of
+degree <= n.  glog inverts it with the Bernoulli series x / (e^x - 1), as one
+integer sum per coefficient over a cached table of scaled Bernoulli numbers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Sequence
 
@@ -148,24 +150,25 @@ def from_matrix(m: RatMatrix) -> GroupElement:
 def _shift_difference(f: Sequence[Fraction], s: Fraction) -> list[Fraction]:
     """Ascending coefficients of f(t - s) - f(t) from those of f, fraction-free.
 
-    The t^j coefficient is sum over k > j of C(k, j) (-s)^(k-j) f_k.  With
-    s = p/q in lowest terms and F = D f integral for the lcm D of the
-    denominators of f, it equals
-
-        sum over k > j of C(k, j) (-p)^(k-j) q^(n-k+j) F_k / (D q^n),
-
-    one integer dot product reduced to one Fraction, as in RatMatrix @.
+    An integer Taylor shift (von zur Gathen & Gerhard 1997).  With s = p/q in
+    lowest terms and F = D f integral for the lcm D of the denominators of f,
+    H(u) = sum_k F_k q^(n-k) u^k gives f(t - s) = H(q t - p) / (D q^n).  The
+    loop h_j -= p h_(j+1) shifts H(u) to H(u - p), so the t^j coefficient of
+    f(t - s) is h_j / (D q^(n-j)): one Fraction per output coefficient.
     """
     n = len(f) - 1
     if not s:
         return [_ZERO] * (n + 1)
+    p, q = s.numerator, s.denominator
     den, ints = _integer_scaled(f)
-    den *= s.denominator ** n
-    p_pow = [(-s.numerator) ** m for m in range(n + 1)]
-    q_pow = [s.denominator ** m for m in range(n + 1)]
-    return [Fraction(num, den) if (num := sum(comb(k, j) * p_pow[k - j] * q_pow[n - k + j] * ints[k]
-                                              for k in range(j + 1, n + 1) if ints[k])) else _ZERO
-            for j in range(n + 1)]
+    q_pow = [q ** (n - k) for k in range(n + 1)]
+    start = [x * qk for x, qk in zip(ints, q_pow)]
+    h = start[:]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            h[j] -= p * h[j + 1]
+    return [Fraction(x - x0, den * qk) if x != x0 else _ZERO
+            for x, x0, qk in zip(h, start, q_pow)]
 
 
 def gmul(g1: GroupElement, g2: GroupElement) -> GroupElement:
@@ -201,22 +204,31 @@ def decompose(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     return GroupElement(n, g.c, (_ZERO,) * n, g.b), GroupElement(n, _ZERO, g.a, _ZERO)
 
 
+@cache
+def _bernoulli_scaled(n: int) -> tuple[int, tuple[int, ...]]:
+    """(W, (W B_0, ..., W B_n)): the Bernoulli numbers with B_1 = -1/2, the
+    coefficients of x / (e^x - 1), scaled by the lcm W of their denominators."""
+    b = [_ONE]
+    for m in range(1, n + 1):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    w, ints = _integer_scaled(b)
+    return w, tuple(ints)
+
+
 def glog(g: GroupElement) -> AlgebraElement:
-    """Logarithm of g in e_1, ..., e_{n+2} coordinates, in closed form.
+    """Logarithm of g as (c, phi_n, ..., phi_1, phi_0) in e_1..e_{n+2} coordinates.
 
-    With f(t) = b + sum_k a_k t^k, log g = (c, phi) where
-    f = sum_k (-c)^k D^k phi / (k+1)!, D = d/dt.  The t^j coefficient of
-    that identity is solved for phi_j from j = n down to 0:
-
-        phi_j = f_j - sum_{k=1}^{n-j} (-c)^k C(j+k, k) / (k+1) phi_{j+k}.
-
-    The coordinates are (c, phi_n, ..., phi_1, phi_0).
+    With f(t) = b + sum_k a_k t^k, phi = (x / (e^x - 1)) f for x = -c d/dt, so
+    phi_j = sum_k B_k (-c)^k C(j+k, k) f_(j+k).  With c = -p/q and F = D f
+    integral, phi_j is that sum over W B_k p^k q^(n-k) F_(j+k), over W D q^n.
     """
     n = g.n
-    neg_c = [(-g.c) ** k for k in range(n + 1)]
-    f = (g.b, *g.a)
-    phi = [_ZERO] * (n + 1)
-    for j in range(n, -1, -1):
-        phi[j] = f[j] - sum((neg_c[k] * Fraction(comb(j + k, k), k + 1) * phi[j + k]
-                             for k in range(1, n - j + 1)), _ZERO)
-    return AlgebraElement(n, (g.c, *reversed(phi)))
+    w, wb = _bernoulli_scaled(n)
+    p, q = -g.c.numerator, g.c.denominator
+    den, ints = _integer_scaled((g.b, *g.a))
+    den *= w * q ** n
+    weights = [x * p ** k * q ** (n - k) for k, x in enumerate(wb)]
+    phi = [Fraction(num, den) if (num := sum(weights[k] * comb(j + k, k) * ints[j + k]
+                                             for k in range(n - j + 1) if ints[j + k])) else _ZERO
+           for j in range(n, -1, -1)]
+    return AlgebraElement(n, (g.c, *phi))

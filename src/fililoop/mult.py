@@ -16,7 +16,8 @@ that group, the unique linear transversal connected to it is computed from
 the coefficients of v_1, the commutator condition is checked on a sample
 grid (a sample check, whose witness says how many pairs and distinct u
 values it covered), generation is proved once the Lie algebra closure of the
-grid elements' logarithms reaches dimension m+2, and the candidate
+grid elements' logarithms reaches dimension m+2 (a closure read off the RREF
+basis of the logarithms, with no pairwise brackets), and the candidate
 stabilizer subalgebra is checked to contain no nonzero ideal.
 """
 

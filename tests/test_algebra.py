@@ -98,6 +98,53 @@ def test_closure_is_bracket_closed():
             assert closed.contains(g)
 
 
+def pairwise_closure(generators):
+    """Closure by brute force: bracket every pair of basis vectors and add
+    what falls outside the span, until nothing new appears."""
+    n = generators[0].n
+    current = SubalgebraBasis.span(n, generators)
+    while True:
+        items = current.basis
+        fresh = [b for i in range(len(items)) for j in range(i + 1, len(items))
+                 if not (b := bracket(items[i], items[j])).is_zero and not current.contains(b)]
+        if not fresh:
+            return current
+        current = SubalgebraBasis.span(n, list(items) + fresh)
+
+
+def closure_generators(rng, n, kind):
+    """Generator sets of one kind: sparse ones, ones with no e_1 component,
+    a single generator, sets with a zero generator, or with duplicates."""
+    count = 1 if kind == "single" else rng.randint(1, 4)
+    gens = [sparse_algebra_element(rng, n) for _ in range(count)]
+    if kind == "no-e1":
+        gens = [AlgebraElement(n, (Fraction(0),) + g.coeffs[1:]) for g in gens]
+    elif kind == "zero":
+        gens.insert(rng.randint(0, len(gens)), zero_element(n))
+    elif kind == "duplicate":
+        g = rng.choice(gens)
+        gens.insert(rng.randint(0, len(gens)), rng.choice([g, rand_fraction(rng) * g]))
+    return gens
+
+
+def test_closure_matches_pairwise_oracle():
+    rng = random.Random(17)
+    kinds = ("sparse", "no-e1", "single", "zero", "duplicate")
+    seen = set()
+    for case in range(1200):
+        n = 1 + case % 10
+        kind = kinds[case // 10 % len(kinds)]
+        gens = closure_generators(rng, n, kind)
+        closed = subalgebra_closure(gens)
+        assert closed == pairwise_closure(gens), (kind, gens)
+        assert closed.is_bracket_closed()
+        rows = closed.coord_rows()
+        if rows and rows[0][0] and len(SubalgebraBasis.span(n, gens).basis) > 2:
+            seen.add("three or more rows with e_1")
+        seen.add("commutative" if closed.is_commutative() else "non-commutative")
+    assert seen == {"three or more rows with e_1", "commutative", "non-commutative"}
+
+
 # -- normal form ---------------------------------------------------------------
 
 def test_classify_examples():

@@ -12,6 +12,7 @@ from fililoop.exact import (
     in_row_space,
     nest_inner,
     nest_outer,
+    _rref_inplace,
     nullspace,
     rational_from_str,
     rational_to_str,
@@ -104,6 +105,15 @@ def test_poly_refuses_float_and_bool_points_and_scalars():
     assert x(F(1, 2)) == F(1, 2) and x(3) == 3 and 2 * x == x * F(2) == Poly([0, 2])
 
 
+def test_poly_equality_with_bool_answers_instead_of_raising():
+    for p in (Poly([1]), Poly(), Poly([0, 1])):
+        for b in (True, False):
+            assert (p == b) is False and (b == p) is False
+            assert (p != b) is True and (b != p) is True
+    assert Poly([1]) == 1 and Poly() == 0 and Poly([F(1, 2)]) == F(1, 2)
+    assert (Poly([1]) == 1.0) is False
+
+
 def test_poly_strings_round_trip():
     p = Poly.from_strings(["0", "-1/2", "3"])
     assert p.to_strings() == ["0", "-1/2", "3"]
@@ -158,6 +168,89 @@ def test_nullspace_annihilates_and_has_corank_dimension():
         assert len(basis) == cols - a.rank
         for v in basis:
             assert not any(a.apply(v))
+
+
+def fraction_rref(mat):
+    """Gauss-Jordan elimination with Fraction arithmetic, row by row, in place;
+    returns the pivot columns."""
+    pivots = []
+    if not mat:
+        return pivots
+    n_rows, n_cols = len(mat), len(mat[0])
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if mat[i][c]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [e * inv for e in mat[r]]
+        for i in range(n_rows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return pivots
+
+
+def rand_elimination_matrix(rng):
+    """A tall, wide or square matrix, often rank-deficient, with zero rows,
+    repeated rows, multiples of rows and denominators up to 10**6."""
+    rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.35:
+            return F(0)
+        if kind < 0.55:
+            return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        return rand_fraction(rng)
+
+    rank = rng.randint(0, min(rows, cols))
+    base = [[entry() for _ in range(cols)] for _ in range(max(rank, 1))]
+    mat = []
+    for _ in range(rows):
+        kind = rng.random()
+        if kind < 0.15 or not rank:
+            mat.append([F(0)] * cols)
+        elif kind < 0.3 and mat:
+            mat.append(list(rng.choice(mat)))
+        elif kind < 0.6:
+            u, v = rng.choice(base), rng.choice(base)
+            a, b = rand_fraction(rng), rand_fraction(rng)
+            mat.append([a * x + b * y for x, y in zip(u, v)])
+        else:
+            mat.append([entry() for _ in range(cols)])
+    return mat
+
+
+def test_elimination_matches_fraction_gauss_jordan():
+    rng = random.Random(909)
+    shapes = set()
+    for _ in range(400):
+        mat = rand_elimination_matrix(rng)
+        rows, cols = len(mat), len(mat[0])
+        expected = [row[:] for row in mat]
+        got = [row[:] for row in mat]
+        pivots = _rref_inplace(got)
+        assert pivots == fraction_rref(expected)
+        assert got == expected
+        assert all(type(e) is Fraction for row in got for e in row)
+        basis = row_space_basis(mat)
+        assert basis == tuple(map(tuple, expected[:len(pivots)]))
+        assert all(type(e) is Fraction for row in basis for e in row)
+        kernel = nullspace(mat, cols)
+        assert len(kernel) == cols - len(pivots)
+        assert all(type(e) is Fraction for v in kernel for e in v)
+        for v in kernel:
+            assert all(sum((a * x for a, x in zip(row, v)), F(0)) == 0 for row in mat)
+        shapes.add("tall" if rows > cols else "wide" if rows < cols else "square")
+        if len(pivots) < min(rows, cols):
+            shapes.add("deficient")
+    assert shapes == {"tall", "wide", "square", "deficient"}
 
 
 def test_elimination_keeps_fractions_and_rejects_floats():

@@ -10,6 +10,8 @@ from fililoop.exact import RatMatrix
 from fililoop.algebra import AlgebraElement, basis_element, bracket
 from fililoop.group import (
     GroupElement,
+    _bernoulli_scaled,
+    _shift_difference,
     commutator,
     decompose,
     from_matrix,
@@ -307,8 +309,33 @@ def test_glog_matches_series_oracle():
         for _ in range(6):
             a = tuple(rand_fraction(rng) for _ in range(n))
             cases.append(GroupElement(n, rand_non_integral(rng), a, rand_fraction(rng)))
+        big = F(rng.randint(-10**6, 10**6), rng.randint(2, 10**6))
+        for c in (F(rng.randint(-9, 9)), F(0), big):
+            a = tuple(rand_fraction(rng, max_den=10**4) for _ in range(n))
+            cases.append(GroupElement(n, c, a, rand_fraction(rng)))
     for g in cases:
         assert glog(g) == series_log(g)
+
+
+def test_bernoulli_table():
+    w, table = _bernoulli_scaled(10)
+    assert [F(x, w) for x in table] == [F(1), F(-1, 2), F(1, 6), F(0), F(-1, 30), F(0),
+                                        F(1, 42), F(0), F(-1, 30), F(0), F(5, 66)]
+    assert _bernoulli_scaled(3) == (6, (6, -3, 1, 0))
+
+
+def test_shift_difference_matches_the_direct_sum():
+    rng = random.Random(57)
+    for n in range(0, 11):
+        for s in (F(0), F(rng.randint(-9, 9)), rand_non_integral(rng),
+                  F(rng.randint(-10**6, 10**6), rng.randint(2, 10**6))):
+            for _ in range(3):
+                f = [rand_fraction(rng) if rng.random() < 0.7 else F(0) for _ in range(n + 1)]
+                direct = [sum((comb(k, j) * (-s) ** (k - j) * f[k] for k in range(j + 1, n + 1)), F(0))
+                          for j in range(n + 1)]
+                got = _shift_difference(f, s)
+                assert got == direct
+                assert all(type(x) is Fraction for x in got)
 
 
 def test_exp_log_round_trip():

@@ -260,7 +260,8 @@ def core_ideal(h: SubalgebraBasis) -> SubalgebraBasis:
         d = current.dimension
         constraints: list[list[Fraction]] = []
         for g in generators:
-            residuals = [span_residual(bracket(g, b).coeffs, rows) for b in current.basis]
+            brackets = [bracket(g, b).coeffs for b in current.basis]
+            residuals = [span_residual(v, rows) if any(v) else v for v in brackets]
             for coord in range(n + 2):
                 row = [res[coord] for res in residuals]
                 if any(row):

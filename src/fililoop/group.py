@@ -10,8 +10,9 @@ so g^(-1) = (-c, -f(t + c)) and the commutator g1^(-1) g2^(-1) g1 g2 is
 
     (0, f1(t - c2) - f1(t) - f2(t - c1) + f2(t)).
 
-gmul, ginv and commutator compute these through one helper for the shift
-difference f(t - s) - f(t).
+gmul, ginv and commutator compute these through one helper, an integer
+Taylor shift bounded by deg f that gives f(t - s) - f(t) as integer pairs;
+commutator combines its two in integers, one Fraction per coefficient.
 
 to_matrix is the unipotent (n+2) x (n+2) realization: row 0 is
 (1, a_1, ..., a_n, b), row k for 1 <= k <= n has 1 on the diagonal, band
@@ -147,54 +148,55 @@ def from_matrix(m: RatMatrix) -> GroupElement:
     return candidate
 
 
-def _shift_difference(f: Sequence[Fraction], s: Fraction) -> list[Fraction]:
-    """Ascending coefficients of f(t - s) - f(t) from those of f, fraction-free.
+def _shift_pairs(f: Sequence[Fraction], s: Fraction) -> list[tuple[int, int]]:
+    """The t^j coefficients of f(t - s) - f(t) as integer (numerator, denominator) pairs.
 
-    An integer Taylor shift (von zur Gathen & Gerhard 1997).  With s = p/q in
-    lowest terms and F = D f integral for the lcm D of the denominators of f,
-    H(u) = sum_k F_k q^(n-k) u^k gives f(t - s) = H(q t - p) / (D q^n).  The
-    loop h_j -= p h_(j+1) shifts H(u) to H(u - p), so the t^j coefficient of
-    f(t - s) is h_j / (D q^(n-j)): one Fraction per output coefficient.
+    An integer Taylor shift (von zur Gathen & Gerhard 1997) bounded by the
+    degree d of f.  With s = p/q in lowest terms, F = D f integral for the lcm
+    D of the denominators of f and H(u) = sum_k F_k q^(d-k) u^k, the loop
+    h_j -= p h_(j+1) shifts H(u) to H(u - p) = D q^d f(t - s) at u = q t, so t^j
+    gets (h_j - H_j, D q^(d-j)); above d, for s = 0 and for constant f, (0, 1).
     """
-    n = len(f) - 1
-    if not s:
-        return [_ZERO] * (n + 1)
+    d = max((k for k, x in enumerate(f) if x), default=0)
+    if not d or not s:
+        return [(0, 1)] * len(f)
     p, q = s.numerator, s.denominator
-    den, ints = _integer_scaled(f)
-    q_pow = [q ** (n - k) for k in range(n + 1)]
+    den, ints = _integer_scaled(f[:d + 1])
+    q_pow = [q ** (d - k) for k in range(d + 1)]
     start = [x * qk for x, qk in zip(ints, q_pow)]
     h = start[:]
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
             h[j] -= p * h[j + 1]
-    return [Fraction(x - x0, den * qk) if x != x0 else _ZERO
-            for x, x0, qk in zip(h, start, q_pow)]
+    return [(x - x0, den * qk) for x, x0, qk in zip(h, start, q_pow)] + [(0, 1)] * (len(f) - d - 1)
 
 
 def gmul(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Group product in closed form: (c1 + c2, f1 + f2 + (f1(t - c2) - f1(t)))."""
     _same_n(g1, g2)
     f1 = (g1.b, *g1.a)
-    f = [x + y + d for x, y, d in zip(f1, (g2.b, *g2.a), _shift_difference(f1, g2.c))]
+    f = [x + y + Fraction(*d) for x, y, d in zip(f1, (g2.b, *g2.a), _shift_pairs(f1, g2.c))]
     return GroupElement(g1.n, g1.c + g2.c, tuple(f[1:]), f[0])
 
 
 def ginv(g: GroupElement) -> GroupElement:
     """Group inverse in closed form: g^(-1) = (-c, -f(t + c)), f = b + sum_k a_k t^k."""
     f = (g.b, *g.a)
-    inv = [-(x + d) for x, d in zip(f, _shift_difference(f, -g.c))]
+    inv = [-(x + Fraction(*d)) for x, d in zip(f, _shift_pairs(f, -g.c))]
     return GroupElement(g.n, -g.c, tuple(inv[1:]), inv[0])
 
 
 def commutator(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """g1^(-1) g2^(-1) g1 g2 in closed form.
+    """g1^(-1) g2^(-1) g1 g2 in closed form, one Fraction per coefficient.
 
     With g_i = (c_i, f_i) the shift law gives
-    (0, (f1(t - c2) - f1(t)) - (f2(t - c1) - f2(t))), so c is always 0.
+    (0, (f1(t - c2) - f1(t)) - (f2(t - c1) - f2(t))), so c is always 0.  The
+    two differences come from degree-bounded shifts as integer pairs x_j / v_j
+    and y_j / w_j, and t^j gets the one Fraction (x_j w_j - y_j v_j) / (v_j w_j).
     """
     _same_n(g1, g2)
-    d = [d1 - d2 for d1, d2 in zip(_shift_difference((g1.b, *g1.a), g2.c),
-                                   _shift_difference((g2.b, *g2.a), g1.c))]
+    pairs = zip(_shift_pairs((g1.b, *g1.a), g2.c), _shift_pairs((g2.b, *g2.a), g1.c))
+    d = [Fraction(num, v * w) if (num := x * w - y * v) else _ZERO for (x, v), (y, w) in pairs]
     return GroupElement(g1.n, _ZERO, tuple(d[1:]), d[0])
 
 

@@ -11,7 +11,7 @@ from fililoop.algebra import AlgebraElement, basis_element, bracket
 from fililoop.group import (
     GroupElement,
     _bernoulli_scaled,
-    _shift_difference,
+    _shift_pairs,
     commutator,
     decompose,
     from_matrix,
@@ -234,14 +234,28 @@ def test_commutator_examples():
     assert commutator(g, GroupElement.identity(1)) == GroupElement.identity(1)
 
 
+def lambda_shaped(rng, n, u):
+    """g(u, (w, 0, ..., 0), b): f = b + w t has degree 1, as a left translation's."""
+    return GroupElement(n, u, (rand_fraction(rng),) + (F(0),) * (n - 1), rand_fraction(rng))
+
+
+def t_shaped(rng, n, x):
+    """g(x, (x a_1, ..., x a_n), y): f = y + x sum_k a_k t^k, as a transversal element's."""
+    return GroupElement(n, x, tuple(x * rand_fraction(rng) for _ in range(n)), rand_fraction(rng))
+
+
 def test_commutator_is_the_four_product_definition():
     # X^(-1) Y^(-1) X Y from to_matrix, the series inverse and RatMatrix
     # products only, so no part of the closed-form shift law is on the
     # oracle side
     rng = random.Random(27)
     for n in range(1, 11):
-        for _ in range(4):
-            x, y = rand_shifting_element(rng, n), rand_shifting_element(rng, n)
+        pairs = [(rand_shifting_element(rng, n), rand_shifting_element(rng, n)) for _ in range(4)]
+        for u, x in ((rand_fraction(rng), rand_non_integral(rng)), (F(0), F(rng.randint(1, 9))),
+                     (F(rng.randint(-9, -1)), F(0)), (F(0), F(0))):
+            lam, t = lambda_shaped(rng, n, u), t_shaped(rng, n, x)
+            pairs += [(lam, t), (t, lam)]
+        for x, y in pairs:
             k = commutator(x, y)
             assert k.c == 0
             assert to_matrix(k) == series_inverse(x) @ series_inverse(y) @ to_matrix(x) @ to_matrix(y)
@@ -324,18 +338,34 @@ def test_bernoulli_table():
     assert _bernoulli_scaled(3) == (6, (6, -3, 1, 0))
 
 
+def shift_difference(f, s):
+    """_shift_pairs read as Fractions, after checking that the pairs are integers."""
+    pairs = _shift_pairs(f, s)
+    assert len(pairs) == len(f)
+    assert all(type(x) is int and type(v) is int and v > 0 for x, v in pairs)
+    return [F(x, v) for x, v in pairs]
+
+
 def test_shift_difference_matches_the_direct_sum():
     rng = random.Random(57)
     for n in range(0, 11):
         for s in (F(0), F(rng.randint(-9, 9)), rand_non_integral(rng),
                   F(rng.randint(-10**6, 10**6), rng.randint(2, 10**6))):
-            for _ in range(3):
-                f = [rand_fraction(rng) if rng.random() < 0.7 else F(0) for _ in range(n + 1)]
+            cases = [[rand_fraction(rng) if rng.random() < 0.7 else F(0) for _ in range(n + 1)]
+                     for _ in range(3)]
+            cases += [[F(0)] * (n + 1), [rand_non_integral(rng)] + [F(0)] * n]
+            if n >= 1:
+                # degree 1 padded to n, and a random lower degree with trailing zeros
+                cases.append([rand_fraction(rng), rand_non_integral(rng)] + [F(0)] * (n - 1))
+                d = rng.randint(1, n)
+                cases.append([rand_fraction(rng) for _ in range(d)] + [rand_non_integral(rng)]
+                             + [F(0)] * (n - d))
+            for f in cases:
                 direct = [sum((comb(k, j) * (-s) ** (k - j) * f[k] for k in range(j + 1, n + 1)), F(0))
                           for j in range(n + 1)]
-                got = _shift_difference(f, s)
-                assert got == direct
-                assert all(type(x) is Fraction for x in got)
+                assert shift_difference(f, s) == direct
+                assert shift_difference(tuple(f), s) == direct
+    assert _shift_pairs([F(1), F(2)] + [F(0)] * 9, F(3)) == [(-6, 1)] + [(0, 1)] * 10
 
 
 def test_exp_log_round_trip():

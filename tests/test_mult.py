@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fililoop import mult
-from fililoop.exact import Poly, RatMatrix
+from fililoop.exact import Poly, RatMatrix, nest_inner, nest_outer
 from fililoop.algebra import basis_element
 from fililoop.group import GroupElement, commutator, in_H
 from fililoop.loop import CommMatrix, LoopSpec, spec_from_comm_matrix
@@ -24,9 +24,10 @@ from fililoop.mult import (
     mult_group_report,
     solve_companions,
     transversal_elements,
+    transversal_identity_holds,
 )
 
-from helpers import rand_fraction, rand_proper_spec
+from helpers import rand_fraction, rand_poly, rand_proper_spec
 
 
 def F(num, den=1):
@@ -130,6 +131,46 @@ def test_transversal_rejects_linear():
         h_connected_transversal(Poly([0, 5]))
     with pytest.raises(ValueError):
         h_connected_transversal(Poly([1, 0, 1]))
+
+
+def nested_transversal_identity(v1, trans):
+    """x*v1(u) = sum_k (-1)^(k+1) u^k a_k x built as nested two-variable
+    products (outer x, inner u) and compared as a whole."""
+    x = Poly.monomial(1)
+    left = nest_outer(x) * nest_inner(v1)
+    right = Poly.zero()
+    for k in range(1, trans.m + 1):
+        right = right + F((-1) ** (k + 1)) * nest_outer(trans.a[k - 1] * x) * nest_inner(Poly.monomial(k))
+    return (left - right).is_zero
+
+
+def test_transversal_identity_matches_nested_product_oracle():
+    rng = random.Random(113)
+    verdicts = []
+    for i in range(330):
+        m = rng.randint(2, 10)
+        v1 = rand_poly(rng, m, zero_constant=True)
+        a = h_connected_transversal(v1).a
+        # 0: the h_connected_transversal spec; 1: one a_k perturbed; 2: a_m = 0;
+        # 3: v1 with a constant term; 4: deg v1 above m; 5: a padded with zeros
+        kind = i % 6
+        if kind == 1:
+            k = rng.randrange(m)
+            a = a[:k] + (a[k] + rand_fraction(rng, 1, 9),) + a[k + 1:]
+        elif kind == 2:
+            a = a[:-1] + (F(0),)
+        elif kind == 3:
+            v1 = v1 + Poly([rand_fraction(rng, 1, 9)])
+        elif kind == 4:
+            a = a[:-1]
+        elif kind == 5:
+            a = a + (F(0),) * rng.randint(1, 3)
+        trans = TransversalSpec(len(a), a)
+        got = transversal_identity_holds(v1, trans)
+        assert got == nested_transversal_identity(v1, trans)
+        assert got == (kind in (0, 5))
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts
 
 
 # -- embedded left translations -------------------------------------------------------

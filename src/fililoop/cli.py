@@ -294,6 +294,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VALUE_OPTIONS = frozenset(("--a", "--b", "--x", "--y", "--basis", "--grid"))
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """argv with "--opt -VALUE" as "--opt=-VALUE", which argparse would read as two
+    options; "--opt --name" stays as it is, so a missing value is still reported."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_OPTIONS and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _pretty_summary(verb: str, envelope: dict) -> str:
     certs = envelope["certificates"]
     if certs:
@@ -309,7 +324,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(argv)
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_attach_dash_values(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -11,8 +11,10 @@ so g^(-1) = (-c, -f(t + c)) and the commutator g1^(-1) g2^(-1) g1 g2 is
     (0, f1(t - c2) - f1(t) - f2(t - c1) + f2(t)).
 
 gmul, ginv and commutator compute these through one helper, an integer
-Taylor shift bounded by deg f that gives f(t - s) - f(t) as integer pairs;
-commutator combines its two in integers, one Fraction per coefficient.
+Taylor shift of a alone (b cancels in f(t - s) - f(t)) bounded by deg f that
+gives the difference as integer pairs; commutator combines its two in
+integers, one Fraction per coefficient.  Each result is built once, with no
+second pass over fields that are exact Fractions already.
 
 to_matrix is the unipotent (n+2) x (n+2) realization: row 0 is
 (1, a_1, ..., a_n, b), row k for 1 <= k <= n has 1 on the diagonal, band
@@ -48,6 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .algebra import AlgebraElement
@@ -82,6 +85,13 @@ class GroupElement(Record):
         object.__setattr__(self, "c", as_fraction(self.c))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", as_fraction(self.b))
+
+    @classmethod
+    def _exact(cls, n: int, c: Fraction, a: tuple[Fraction, ...], b: Fraction) -> GroupElement:
+        """g(c, a, b) unchecked, for Fraction fields with n >= 1 and len(a) == n."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, c=c, a=a, b=b)
+        return g
 
     @classmethod
     def identity(cls, n: int) -> GroupElement:
@@ -148,56 +158,60 @@ def from_matrix(m: RatMatrix) -> GroupElement:
     return candidate
 
 
-def _shift_pairs(f: Sequence[Fraction], s: Fraction) -> list[tuple[int, int]]:
-    """The t^j coefficients of f(t - s) - f(t) as integer (numerator, denominator) pairs.
+def _shift_pairs(a: Sequence[Fraction], s: Fraction) -> list[tuple[int, int]]:
+    """The t^0..t^n coefficients of f(t - s) - f(t), f = b + sum_k a_k t^k, as integer
+    (numerator, denominator) pairs; b cancels, so only a = (a_1, ..., a_n) is read.
 
     An integer Taylor shift (von zur Gathen & Gerhard 1997) bounded by the
-    degree d of f.  With s = p/q in lowest terms, F = D f integral for the lcm
-    D of the denominators of f and H(u) = sum_k F_k q^(d-k) u^k, the loop
-    h_j -= p h_(j+1) shifts H(u) to H(u - p) = D q^d f(t - s) at u = q t, so t^j
-    gets (h_j - H_j, D q^(d-j)); above d, for s = 0 and for constant f, (0, 1).
+    degree d of f, a with its trailing zeros stripped.  With s = p/q in lowest
+    terms, F = D a integral for the lcm D of the denominators of a_1..a_d and
+    H(u) = sum_{k>=1} F_k q^(d-k) u^k, the loop h_j -= p h_(j+1) shifts H(u) to
+    H(u - p) = D q^d (f(t - s) - b) at u = q t, so t^j gets (h_j - H_j, D q^(d-j));
+    above d, for s = 0 and for a = 0, (0, 1).
     """
-    d = max((k for k, x in enumerate(f) if x), default=0)
+    n = d = len(a)
+    while d and not a[d - 1]:
+        d -= 1
     if not d or not s:
-        return [(0, 1)] * len(f)
+        return [(0, 1)] * (n + 1)
     p, q = s.numerator, s.denominator
-    den, ints = _integer_scaled(f[:d + 1])
+    den, ints = _integer_scaled(a[:d])
     q_pow = [q ** (d - k) for k in range(d + 1)]
-    start = [x * qk for x, qk in zip(ints, q_pow)]
+    start = [0, *map(mul, ints, q_pow[1:])]
     h = start[:]
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
             h[j] -= p * h[j + 1]
-    return [(x - x0, den * qk) for x, x0, qk in zip(h, start, q_pow)] + [(0, 1)] * (len(f) - d - 1)
+    return [(x - x0, den * qk) for x, x0, qk in zip(h, start, q_pow)] + [(0, 1)] * (n - d)
 
 
 def gmul(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Group product in closed form: (c1 + c2, f1 + f2 + (f1(t - c2) - f1(t)))."""
     _same_n(g1, g2)
-    f1 = (g1.b, *g1.a)
-    f = [x + y + Fraction(*d) for x, y, d in zip(f1, (g2.b, *g2.a), _shift_pairs(f1, g2.c))]
-    return GroupElement(g1.n, g1.c + g2.c, tuple(f[1:]), f[0])
+    f = [x + y + Fraction(num, v) if num else x + y
+         for x, y, (num, v) in zip((g1.b, *g1.a), (g2.b, *g2.a), _shift_pairs(g1.a, g2.c))]
+    return GroupElement._exact(g1.n, g1.c + g2.c, tuple(f[1:]), f[0])
 
 
 def ginv(g: GroupElement) -> GroupElement:
     """Group inverse in closed form: g^(-1) = (-c, -f(t + c)), f = b + sum_k a_k t^k."""
-    f = (g.b, *g.a)
-    inv = [-(x + Fraction(*d)) for x, d in zip(f, _shift_pairs(f, -g.c))]
-    return GroupElement(g.n, -g.c, tuple(inv[1:]), inv[0])
+    inv = [-(x + Fraction(num, v)) if num else -x
+           for x, (num, v) in zip((g.b, *g.a), _shift_pairs(g.a, -g.c))]
+    return GroupElement._exact(g.n, -g.c, tuple(inv[1:]), inv[0])
 
 
 def commutator(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """g1^(-1) g2^(-1) g1 g2 in closed form, one Fraction per coefficient.
 
     With g_i = (c_i, f_i) the shift law gives
-    (0, (f1(t - c2) - f1(t)) - (f2(t - c1) - f2(t))), so c is always 0.  The
+    (0, (f1(t - c2) - f1(t)) - (f2(t - c1) - f2(t))): c is 0 and no b enters.  The
     two differences come from degree-bounded shifts as integer pairs x_j / v_j
     and y_j / w_j, and t^j gets the one Fraction (x_j w_j - y_j v_j) / (v_j w_j).
     """
     _same_n(g1, g2)
-    pairs = zip(_shift_pairs((g1.b, *g1.a), g2.c), _shift_pairs((g2.b, *g2.a), g1.c))
+    pairs = zip(_shift_pairs(g1.a, g2.c), _shift_pairs(g2.a, g1.c))
     d = [Fraction(num, v * w) if (num := x * w - y * v) else _ZERO for (x, v), (y, w) in pairs]
-    return GroupElement(g1.n, _ZERO, tuple(d[1:]), d[0])
+    return GroupElement._exact(g1.n, _ZERO, tuple(d[1:]), d[0])
 
 
 def decompose(g: GroupElement) -> tuple[GroupElement, GroupElement]:
@@ -207,14 +221,16 @@ def decompose(g: GroupElement) -> tuple[GroupElement, GroupElement]:
 
 
 @cache
-def _bernoulli_scaled(n: int) -> tuple[int, tuple[int, ...]]:
-    """(W, (W B_0, ..., W B_n)): the Bernoulli numbers with B_1 = -1/2, the
-    coefficients of x / (e^x - 1), scaled by the lcm W of their denominators."""
+def _log_weights(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(W, rows) with rows[j][k] = W B_k C(j+k, k) for j + k <= n: B_k the Bernoulli
+    numbers with B_1 = -1/2, the coefficients of x / (e^x - 1), and W the lcm of
+    their denominators, so rows[0] is (W B_0, ..., W B_n)."""
     b = [_ONE]
     for m in range(1, n + 1):
         b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
-    w, ints = _integer_scaled(b)
-    return w, tuple(ints)
+    w, wb = _integer_scaled(b)
+    return w, tuple(tuple(x * comb(j + k, k) for k, x in enumerate(wb[:n - j + 1]))
+                    for j in range(n + 1))
 
 
 def glog(g: GroupElement) -> AlgebraElement:
@@ -222,15 +238,15 @@ def glog(g: GroupElement) -> AlgebraElement:
 
     With f(t) = b + sum_k a_k t^k, phi = (x / (e^x - 1)) f for x = -c d/dt, so
     phi_j = sum_k B_k (-c)^k C(j+k, k) f_(j+k).  With c = -p/q and F = D f
-    integral, phi_j is that sum over W B_k p^k q^(n-k) F_(j+k), over W D q^n.
+    integral, phi_j is the sum of the cached W B_k C(j+k, k) times
+    p^k q^(n-k) F_(j+k), over W D q^n.
     """
     n = g.n
-    w, wb = _bernoulli_scaled(n)
+    w, rows = _log_weights(n)
     p, q = -g.c.numerator, g.c.denominator
     den, ints = _integer_scaled((g.b, *g.a))
     den *= w * q ** n
-    weights = [x * p ** k * q ** (n - k) for k, x in enumerate(wb)]
-    phi = [Fraction(num, den) if (num := sum(weights[k] * comb(j + k, k) * ints[j + k]
-                                             for k in range(n - j + 1) if ints[j + k])) else _ZERO
+    pq = [p ** k * q ** (n - k) for k in range(n + 1)]
+    phi = [Fraction(num, den) if (num := sum(map(mul, map(mul, rows[j], pq), ints[j:]))) else _ZERO
            for j in range(n, -1, -1)]
     return AlgebraElement(n, (g.c, *phi))

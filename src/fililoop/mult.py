@@ -125,6 +125,8 @@ class TransversalSpec(Record):
     a: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
         vals = tuple(map(as_fraction, self.a))
         if len(vals) != self.m:
             raise ValueError(f"expected {self.m} coefficients, got {len(vals)}")
@@ -141,6 +143,8 @@ class LeftTranslationFamily(Record):
     v1: Poly
 
     def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
         if self.m < self.v1.degree:
             raise ValueError("ambient dimension is smaller than the polynomial degree")
 
@@ -182,12 +186,12 @@ def left_translation_elements(family: LeftTranslationFamily,
                               samples: Sequence[tuple[Fraction, Fraction]]) -> list[GroupElement]:
     """Instantiate the embedded left-translation family at (u, z) samples."""
     m = family.m
+    zeros = (Fraction(0),) * (m - 1)
     out = []
     for u, z in samples:
         u, z = as_fraction(u), as_fraction(z)
         value = family.v1(u)
-        a = (value,) + (Fraction(0),) * (m - 1)
-        out.append(GroupElement(m, u, a, -value * u / 2 + z))
+        out.append(GroupElement._exact(m, u, (value, *zeros), -value * u / 2 + z))
     return out
 
 
@@ -197,7 +201,7 @@ def transversal_elements(trans: TransversalSpec,
     out = []
     for x, y in samples:
         x, y = as_fraction(x), as_fraction(y)
-        out.append(GroupElement(trans.m, x, tuple(ak * x for ak in trans.a), y))
+        out.append(GroupElement._exact(trans.m, x, tuple([ak * x for ak in trans.a]), y))
     return out
 
 

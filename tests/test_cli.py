@@ -215,8 +215,34 @@ def test_inn_check_verb(capsys):
     assert data["result"] == {"holds": True}
 
 
+@pytest.mark.parametrize("argv", [
+    ("mul", "f3_square.json", "--a", "-1,0", "--b", "-2,1"),
+    ("div", "f3_square.json", "--a", "-1,0", "--b", "-2,3", "--side", "right"),
+    ("algebra-bracket", "--x", "-1,0,0", "--y", "0,-1,0"),
+    ("classify-subalgebra", "--basis", "-1,0,0,0;0,0,1,0;0,0,0,1"),
+    ("core-ideal", "--basis", "-1,1,0;0,0,1"),
+    ("inn-check", "--a", "-1,3"),
+    ("thm3", "f3_square.json", "--grid", "-1,1,2,3|0,1"),
+])
+def test_negative_values_in_the_space_form(capsys, argv):
+    # "--opt -1,0" gives what "--opt=-1,0" gives, and the command echo keeps
+    # the arguments as typed
+    argv = [spec_path(a) if a.endswith(".json") else a for a in argv]
+    joined = []
+    for arg in argv:
+        if arg[:1] == "-" and arg[:2] != "--":
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    code, data = run_json(capsys, *argv)
+    assert code == 0
+    assert data["command"] == argv
+    assert run_json(capsys, *joined) == (0, {**data, "command": joined})
+
+
 def test_bad_arguments_exit_2(capsys):
     assert run_cli(capsys, "mul", spec_path("f3_square.json"), "--a", "1", "--b", "1,0")[0] == 2
+    assert run_cli(capsys, "mul", spec_path("f3_square.json"), "--a", "--b", "1,0")[0] == 2
     assert run_cli(capsys, "no-such-verb")[0] == 2
     assert run_cli(capsys)[0] == 2
 

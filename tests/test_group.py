@@ -10,7 +10,7 @@ from fililoop.exact import RatMatrix
 from fililoop.algebra import AlgebraElement, basis_element, bracket
 from fililoop.group import (
     GroupElement,
-    _bernoulli_scaled,
+    _log_weights,
     _shift_pairs,
     commutator,
     decompose,
@@ -261,6 +261,38 @@ def test_commutator_is_the_four_product_definition():
             assert to_matrix(k) == series_inverse(x) @ series_inverse(y) @ to_matrix(x) @ to_matrix(y)
 
 
+def law_case(rng, n):
+    """A seeded operand with zero coefficients, c = 0, integer or fractional c,
+    or the shape of a left translation or a transversal element."""
+    c = rng.choice((F(0), F(rng.randint(-9, 9)), rand_non_integral(rng)))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return lambda_shaped(rng, n, c)
+    if kind == 1:
+        return t_shaped(rng, n, c)
+    a = tuple(rand_fraction(rng) if kind == 2 and rng.random() < 0.6 else F(0) for _ in range(n))
+    return GroupElement(n, c, a, rng.choice((F(0), rand_fraction(rng))))
+
+
+def test_law_results_are_fractions_and_the_commutator_ignores_b():
+    # gmul, ginv and commutator build their results without the constructor's
+    # checks, so each field must come out a Fraction on its own; b is central,
+    # so changing either operand's b leaves the commutator as it is
+    rng = random.Random(71)
+    for n in range(1, 11):
+        for _ in range(32):
+            x, y = law_case(rng, n), law_case(rng, n)
+            k = commutator(x, y)
+            for g in (gmul(x, y), gmul(y, x), ginv(x), ginv(y), k):
+                assert g.n == n and len(g.a) == n
+                assert all(type(v) is Fraction for v in (g.c, *g.a, g.b))
+            x_b = GroupElement(n, x.c, x.a, x.b + rand_fraction(rng))
+            y_b = GroupElement(n, y.c, y.a, rand_fraction(rng))
+            assert commutator(x_b, y) == k
+            assert commutator(x, y_b) == k
+            assert commutator(x_b, y_b) == k
+
+
 def test_in_H_examples():
     assert in_H(h_element(2, (F(1), F(2))))
     assert not in_H(g1(1, 0, 0))
@@ -332,15 +364,18 @@ def test_glog_matches_series_oracle():
 
 
 def test_bernoulli_table():
-    w, table = _bernoulli_scaled(10)
-    assert [F(x, w) for x in table] == [F(1), F(-1, 2), F(1, 6), F(0), F(-1, 30), F(0),
-                                        F(1, 42), F(0), F(-1, 30), F(0), F(5, 66)]
-    assert _bernoulli_scaled(3) == (6, (6, -3, 1, 0))
+    w, rows = _log_weights(10)
+    assert [F(x, w) for x in rows[0]] == [F(1), F(-1, 2), F(1, 6), F(0), F(-1, 30), F(0),
+                                          F(1, 42), F(0), F(-1, 30), F(0), F(5, 66)]
+    assert all(rows[j] == tuple(x * comb(j + k, k) for k, x in enumerate(rows[0][:11 - j]))
+               for j in range(11))
+    assert _log_weights(3) == (6, ((6, -3, 1, 0), (6, -6, 3), (6, -9), (6,)))
 
 
 def shift_difference(f, s):
-    """_shift_pairs read as Fractions, after checking that the pairs are integers."""
-    pairs = _shift_pairs(f, s)
+    """_shift_pairs of the a-part f[1:] read as Fractions, after checking that the
+    pairs are integers."""
+    pairs = _shift_pairs(f[1:], s)
     assert len(pairs) == len(f)
     assert all(type(x) is int and type(v) is int and v > 0 for x, v in pairs)
     return [F(x, v) for x, v in pairs]
@@ -365,7 +400,7 @@ def test_shift_difference_matches_the_direct_sum():
                           for j in range(n + 1)]
                 assert shift_difference(f, s) == direct
                 assert shift_difference(tuple(f), s) == direct
-    assert _shift_pairs([F(1), F(2)] + [F(0)] * 9, F(3)) == [(-6, 1)] + [(0, 1)] * 10
+    assert _shift_pairs([F(2)] + [F(0)] * 9, F(3)) == [(-6, 1)] + [(0, 1)] * 10
 
 
 def test_exp_log_round_trip():

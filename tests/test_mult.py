@@ -183,6 +183,23 @@ def test_left_translation_family_examples():
     assert els[2] == GroupElement(2, F(0), (F(0), F(0)), F(5))
 
 
+def test_builders_make_fraction_fields_from_int_samples():
+    # the builders skip GroupElement's checks, so their own conversion must
+    # leave every field a Fraction
+    points = [(0, 0), (1, 0), (-2, 5), (F(1, 3), -1)]
+    trans = TransversalSpec(3, (F(1), F(0), F(-2, 3)))
+    els = (left_translation_elements(LeftTranslationFamily(3, SQUARE_POLY), points)
+           + transversal_elements(trans, points))
+    for g in els:
+        assert len(g.a) == g.n == 3
+        assert all(type(v) is Fraction for v in (g.c, *g.a, g.b))
+        assert g == GroupElement(g.n, g.c, g.a, g.b)
+    with pytest.raises(ValueError):
+        LeftTranslationFamily(0, Poly.zero())
+    with pytest.raises(ValueError):
+        TransversalSpec(0, ())
+
+
 # -- H-connectedness --------------------------------------------------------------------
 
 def test_h_connected_true_case():

@@ -211,11 +211,6 @@ class SubalgebraForm(Record):
     index: int
     offset: AlgebraElement
 
-    def rebuild(self) -> SubalgebraBasis:
-        first = basis_element(self.n, 1) + self.offset
-        tail = [basis_element(self.n, i) for i in range(self.index, self.n + 3)]
-        return SubalgebraBasis.span(self.n, [first] + tail)
-
 
 def classify_subalgebra(v: SubalgebraBasis) -> Optional[SubalgebraForm]:
     """Normal form of a bracket-closed subspace; None when commutative."""

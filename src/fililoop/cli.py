@@ -74,10 +74,7 @@ def _parse_point(text: str, where: str) -> LoopPoint:
 
 
 def _parse_coords(text: str, where: str) -> tuple[Fraction, ...]:
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise CliError(f"{where}: expected comma-separated rationals")
-    return tuple(_parse_rational(p, where) for p in parts)
+    return tuple(_parse_rational(p, where) for p in text.split(","))
 
 
 def _parse_element(text: str, where: str) -> AlgebraElement:
@@ -88,10 +85,7 @@ def _parse_element(text: str, where: str) -> AlgebraElement:
 
 
 def _parse_basis(text: str, where: str) -> SubalgebraBasis:
-    rows = [r for r in text.split(";") if r.strip() != ""]
-    if not rows:
-        raise CliError(f"{where}: expected ';'-separated coordinate vectors")
-    elements = [_parse_element(r, f"{where}[{i}]") for i, r in enumerate(rows)]
+    elements = [_parse_element(r, f"{where}[{i}]") for i, r in enumerate(text.split(";"))]
     n = elements[0].n
     if any(e.n != n for e in elements):
         raise CliError(f"{where}: vectors have inconsistent lengths")

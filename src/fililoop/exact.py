@@ -4,12 +4,12 @@ Every construction in this package reduces to identities between polynomials
 with rational coefficients, so all arithmetic here is exact.  Rationals are
 ``fractions.Fraction`` values (always reduced, positive denominator,
 arbitrary-precision integers underneath).  Polynomials store coefficients in
-ascending power order with no trailing zeros; a two-variable polynomial is
-represented as a :class:`Poly` in the outer variable whose coefficients are
-again ``Poly`` values in the inner variable (see :func:`nest_outer` and
-:func:`nest_inner`), so checking a two-variable identity reduces to all
-nested coefficients being zero.  Matrices are dense tuples of Fractions, and
-row reduction, ranks and nullspaces are fraction-free Gaussian elimination.
+ascending power order with no trailing zeros.  A nested ``Poly``, a
+polynomial in an outer variable whose coefficients are ``Poly`` values in an
+inner variable, is only the return form of two-variable results; they are
+computed by coefficient matching, never by multiplying nested polynomials.
+Matrices are dense tuples of Fractions, and row reduction, ranks and
+nullspaces are fraction-free Gaussian elimination.
 
 Wire formats: a rational serializes as the string ``"p/q"``, or ``"p"`` when
 the denominator is 1; a polynomial serializes as a JSON array of such strings
@@ -112,11 +112,6 @@ def as_fraction(value: object) -> Fraction:
     return Fraction(value)
 
 
-def rational_to_str(value: Fraction) -> str:
-    """Serialize as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    return str(Fraction(value))
-
-
 def _coeff(value: object) -> Coeff:
     if isinstance(value, Poly):
         return Fraction(0) if value.is_zero else value
@@ -159,10 +154,6 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> Poly:
-        return cls()
-
-    @classmethod
     def const(cls, value: object) -> Poly:
         return cls((value,))
 
@@ -171,15 +162,6 @@ class Poly:
         if power < 0:
             raise ValueError("power must be nonnegative")
         return cls((0,) * power + (coeff,))
-
-    @classmethod
-    def var(cls) -> Poly:
-        """The polynomial x."""
-        return cls.monomial(1)
-
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> Poly:
-        return cls(rational_from_str(s) for s in items)
 
     # -- structure ----------------------------------------------------
 
@@ -296,16 +278,6 @@ class Poly:
         return f"Poly([{', '.join(str(c) for c in self.coeffs)}])"
 
 
-def nest_outer(p: Poly) -> Poly:
-    """Reinterpret a scalar polynomial in the outer variable of a pair."""
-    return Poly(tuple(Poly.const(c) for c in p.coeffs))
-
-
-def nest_inner(p: Poly) -> Poly:
-    """Embed a scalar polynomial as an inner-variable constant of a pair."""
-    return Poly((p,))
-
-
 # ---------------------------------------------------------------------------
 # Matrices and linear algebra over Q
 # ---------------------------------------------------------------------------
@@ -331,10 +303,6 @@ class RatMatrix(Record):
     @classmethod
     def identity(cls, n: int) -> RatMatrix:
         return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> RatMatrix:
-        return cls(tuple((Fraction(0),) * cols for _ in range(rows)))
 
     @property
     def rows(self) -> int:

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import (Poly, PolyKind, RatMatrix, Record, as_fraction, nest_inner, nest_outer,
-                    rational_from_str)
+from .exact import Poly, PolyKind, RatMatrix, Record, as_fraction, rational_from_str
 from .group import GroupElement, decompose, gmul
 
 __all__ = [
@@ -34,6 +33,7 @@ __all__ = [
     "rdiv",
     "section_solve",
     "spec_from_comm_matrix",
+    "twist_table",
 ]
 
 
@@ -121,10 +121,6 @@ class LoopPoint(Record):
     def __post_init__(self) -> None:
         object.__setattr__(self, "u", as_fraction(self.u))
         object.__setattr__(self, "z", as_fraction(self.z))
-
-    @classmethod
-    def origin(cls) -> LoopPoint:
-        return cls(Fraction(0), Fraction(0))
 
     def to_json(self) -> dict:
         return {"u": str(self.u), "z": str(self.z)}
@@ -219,20 +215,31 @@ def spec_from_comm_matrix(cm: CommMatrix) -> LoopSpec:
     return LoopSpec(cm.n, polys)
 
 
+def twist_table(spec: LoopSpec) -> tuple[tuple[Fraction, ...], ...]:
+    """Coefficients of the z-twist sum_k (-1)^k u2^k v_k(u1) as a square table.
+
+    T[i][j] is the coefficient of u1^i u2^j, that is (-1)^j [v_j]_i for
+    1 <= j <= n and 0 otherwise; the side is max(n, deg v_1..v_n) + 1, so a
+    row above n is nonzero exactly when some v_j has a term of degree > n.
+    """
+    n = spec.n
+    side = max(n, *(p.degree for p in spec.v)) + 1
+    zero = Fraction(0)
+    return tuple(tuple((-1) ** j * spec.v[j - 1].coefficient(i) if 1 <= j <= n else zero
+                       for j in range(side))
+                 for i in range(side))
+
+
 def comm_defect(spec: LoopSpec) -> Poly:
     """The formal difference of the z-components of a*b and b*a.
 
     Returned as a polynomial in the first argument's u whose coefficients
-    are polynomials in the second argument's u; the loop is commutative iff
+    are polynomials in the second argument's u: the u1^i u2^j coefficient is
+    T[i][j] - T[j][i] for the twist table T.  The loop is commutative iff
     the result is the zero polynomial.
     """
-    total = Poly.zero()
-    for k in range(1, spec.n + 1):
-        vk = spec.v[k - 1]
-        term1 = nest_outer(vk) * nest_inner(Poly.monomial(k))
-        term2 = nest_outer(Poly.monomial(k)) * nest_inner(vk)
-        total = total + Fraction((-1) ** k) * (term1 - term2)
-    return total
+    t = twist_table(spec)
+    return Poly(Poly(a - b for a, b in zip(row, column)) for row, column in zip(t, zip(*t)))
 
 
 def is_commutative(spec: LoopSpec) -> bool:

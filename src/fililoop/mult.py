@@ -7,7 +7,9 @@ s_1, ..., s_n exist solving the two-variable identity
 
     sum_k (-1)^k x^k (s_k(u) + v_k(u)) = sum_j (-1)^j u^j v_j(x),
 
-which coefficient matching decides exactly (:func:`solve_companions`).
+whose right side is the loop's twist table (:func:`fililoop.loop.twist_table`)
+read by rows, so matching its rows decides the question exactly
+(:func:`solve_companions`): companions exist iff no row above n is nonzero.
 
 Second, for a loop with a single nonlinear polynomial v_1 (degree m >= 2):
 the multiplication group is the filiform group of dimension m+2.  The
@@ -35,9 +37,9 @@ from .algebra import (
     phi_automorphism,
     subalgebra_closure,
 )
-from .exact import Poly, PolyKind, Record, as_fraction, nest_inner, nest_outer
+from .exact import Poly, PolyKind, Record, as_fraction
 from .group import GroupElement, commutator, from_matrix, ginv, glog, gmul, in_H, to_matrix
-from .loop import LoopSpec
+from .loop import LoopSpec, twist_table
 
 __all__ = [
     "Certificate",
@@ -58,6 +60,7 @@ __all__ = [
     "mult_group_report",
     "solve_companions",
     "transversal_elements",
+    "transversal_identity_holds",
 ]
 
 
@@ -77,37 +80,32 @@ def companion_residual(spec: LoopSpec, s: Sequence[Poly]) -> Poly:
     """Left minus right side of the companion identity, as a nested polynomial.
 
     Outer variable x, inner variable u; the candidate s solves the identity
-    iff the residual is the zero polynomial.
+    iff the residual is the zero polynomial.  The left side's x^k row is
+    (-1)^k (s_k + v_k) for 1 <= k <= n, and the right side's x^i row is
+    row i of the twist table.
     """
     if len(s) != spec.n:
         raise ValueError(f"expected {spec.n} companion polynomials")
-    left = Poly.zero()
-    right = Poly.zero()
-    for k in range(1, spec.n + 1):
-        sign = Fraction((-1) ** k)
-        left = left + sign * nest_outer(Poly.monomial(k)) * nest_inner(s[k - 1] + spec.v[k - 1])
-        right = right + sign * nest_inner(Poly.monomial(k)) * nest_outer(spec.v[k - 1])
-    return left - right
+    table = twist_table(spec)
+    left = [Poly()] + [Fraction((-1) ** k) * (s_k + v_k)
+                       for k, (s_k, v_k) in enumerate(zip(s, spec.v), 1)]
+    left += [Poly()] * (len(table) - len(left))
+    return Poly(row - Poly(t_row) for row, t_row in zip(left, table))
 
 
 def solve_companions(spec: LoopSpec) -> Optional[CompanionSolution]:
     """Companion polynomials s_1..s_n, or None when none exist.
 
-    Matching the coefficient of x^k for k = 1..n determines each s_k
-    uniquely; any coefficient of x^k with k > n on the right side must
-    vanish identically, otherwise there is no solution.
+    The identity's x^k row reads (-1)^k (s_k + v_k) = T_k for row k of the
+    twist table T, which determines each s_k for k = 1..n.  The left side
+    has no row above n, so a nonzero row of T above n (some v_j with a term
+    of degree > n) leaves no solution.
     """
-    n = spec.n
-    max_deg = max(p.degree for p in spec.v)
-    for m in range(n + 1, max_deg + 1):
-        if any(p.coefficient(m) != 0 for p in spec.v):
-            return None
-    out = []
-    for k in range(1, n + 1):
-        r_k = Poly([Fraction(0)] + [Fraction((-1) ** j) * spec.v[j - 1].coefficient(k)
-                                    for j in range(1, n + 1)])
-        out.append(Fraction((-1) ** k) * r_k - spec.v[k - 1])
-    solution = CompanionSolution(tuple(out))
+    table = twist_table(spec)
+    if any(map(any, table[spec.n + 1:])):
+        return None
+    solution = CompanionSolution(tuple(Fraction((-1) ** k) * Poly(table[k]) - v_k
+                                       for k, v_k in enumerate(spec.v, 1)))
     if not companion_residual(spec, solution.s).is_zero:
         raise RuntimeError("companion solution failed the identity check")
     return solution

@@ -1,4 +1,5 @@
-"""Shared random generators for the test suite (all deterministic seeds)."""
+"""Shared random generators (all deterministic seeds) and nested-product
+oracles for the test suite."""
 
 from __future__ import annotations
 
@@ -47,3 +48,67 @@ def rand_proper_spec(rng: random.Random, n: int | None = None, max_deg: int = 4)
         low = 2 if i == n else 1
         polys.append(rand_poly(rng, rng.randint(low, max_deg), zero_constant=True))
     return LoopSpec(n, tuple(polys))
+
+
+def rand_twist_spec(rng: random.Random, kind: str, n: int, max_deg: int = 8) -> LoopSpec:
+    """A spec of the given kind for the twist-table oracles.
+
+    'random': v_j of random degree 0..max_deg (zero polynomials included);
+    'high': like 'random' with some v_j of degree above n; 'symmetric': the
+    signed-symmetric a_ij = (-1)^(i+j) a_ji, so degree <= n and commutative;
+    'perturbed': that matrix with one off-diagonal entry changed when n > 1.
+    """
+    if kind in ("random", "high"):
+        degrees = [rng.randint(0, max_deg) for _ in range(n)]
+        if kind == "high":
+            degrees[rng.randrange(n)] = rng.randint(n + 1, max(n + 1, max_deg))
+        return LoopSpec(n, tuple(rand_poly(rng, d, zero_constant=True) if d else Poly()
+                                 for d in degrees))
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r, n):
+            a[r][c] = rand_fraction(rng, -5, 5, 5)
+            a[c][r] = (-1) ** (r + c) * a[r][c]
+    if kind == "perturbed" and n > 1:
+        r, c = rng.sample(range(n), 2)
+        a[r][c] += rng.choice((-1, 1)) * rand_fraction(rng, 1, 5, 5)
+    return LoopSpec(n, tuple(Poly([0, *row]) for row in a))
+
+
+def twist_specs(seed: int, count: int = 320) -> list[LoopSpec]:
+    """count seeded specs cycling through the four kinds and n = 1..6."""
+    rng = random.Random(seed)
+    kinds = ("random", "high", "symmetric", "perturbed")
+    return [rand_twist_spec(rng, kinds[i % 4], 1 + i // 4 % 6) for i in range(count)]
+
+
+def nest_outer(p: Poly) -> Poly:
+    """Reinterpret a scalar polynomial in the outer variable of a pair."""
+    return Poly(tuple(Poly.const(c) for c in p.coeffs))
+
+
+def nest_inner(p: Poly) -> Poly:
+    """Embed a scalar polynomial as an inner-variable constant of a pair."""
+    return Poly((p,))
+
+
+def nested_comm_defect(spec: LoopSpec) -> Poly:
+    """comm_defect built from nested two-variable products (outer u1, inner u2)."""
+    total = Poly()
+    for k in range(1, spec.n + 1):
+        vk = spec.v[k - 1]
+        term1 = nest_outer(vk) * nest_inner(Poly.monomial(k))
+        term2 = nest_outer(Poly.monomial(k)) * nest_inner(vk)
+        total = total + Fraction((-1) ** k) * (term1 - term2)
+    return total
+
+
+def nested_companion_residual(spec: LoopSpec, s) -> Poly:
+    """companion_residual built from nested two-variable products (outer x, inner u)."""
+    left = Poly()
+    right = Poly()
+    for k in range(1, spec.n + 1):
+        sign = Fraction((-1) ** k)
+        left = left + sign * nest_outer(Poly.monomial(k)) * nest_inner(s[k - 1] + spec.v[k - 1])
+        right = right + sign * nest_inner(Poly.monomial(k)) * nest_outer(spec.v[k - 1])
+    return left - right

@@ -114,7 +114,7 @@ def test_criterion_3_loop_axiom_suite():
         rng = random.Random(203)
         for _ in range(10):
             spec = rand_proper_spec(rng)
-            e = LoopPoint.origin()
+            e = LoopPoint(0, 0)
             for _ in range(50):
                 a, b = rand_point(rng), rand_point(rng)
                 assert lmul(spec, e, a) == a and lmul(spec, a, e) == a

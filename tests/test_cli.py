@@ -247,6 +247,28 @@ def test_bad_arguments_exit_2(capsys):
     assert run_cli(capsys)[0] == 2
 
 
+@pytest.mark.parametrize("option, middle, trailing", [
+    ("--a", ("inn-check", "--a", "1,,2"), ("inn-check", "--a", "1,2,")),
+    ("--b", ("mul", "f3_square.json", "--a", "1,0", "--b", "1,,0"),
+     ("mul", "f3_square.json", "--a", "1,0", "--b", "1,")),
+    ("--x", ("algebra-bracket", "--x", "1,0,,0", "--y", "0,1,0"),
+     ("algebra-bracket", "--x", "1,0,0,", "--y", "0,1,0,0")),
+    ("--y", ("algebra-bracket", "--x", "1,0,0", "--y", "0,,1,0"),
+     ("algebra-bracket", "--x", "1,0,0,0", "--y", "0,1,0,")),
+    ("--basis", ("core-ideal", "--basis", "0,1,0;;0,0,1"),
+     ("classify-subalgebra", "--basis", "1,0,0,0;0,0,1,0;0,0,0,1;")),
+    ("--grid", ("thm3", "f3_square.json", "--grid=1,,2,3|0,1"),
+     ("thm3", "f3_square.json", "--grid=1,2,3|0,")),
+])
+def test_empty_list_items_exit_2(capsys, option, middle, trailing):
+    # an empty item is a malformed rational, never a shorter list
+    for argv in (middle, trailing):
+        argv = [spec_path(a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {option}")
+
+
 def test_usage_error_does_not_change_the_next_call(capsys):
     argv = ("thm3", spec_path("f3_square.json"))
     alone = run_cli(capsys, *argv)

@@ -1,10 +1,12 @@
 """Loop construction, axioms, coset-action oracle, commutativity criterion."""
 
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
+from fililoop import loop, mult
 from fililoop.exact import Poly, RatMatrix
 from fililoop.group import GroupElement, decompose, gmul
 from fililoop.loop import (
@@ -21,9 +23,10 @@ from fililoop.loop import (
     rdiv,
     section_solve,
     spec_from_comm_matrix,
+    twist_table,
 )
 
-from helpers import rand_point, rand_proper_spec
+from helpers import nested_comm_defect, rand_point, rand_proper_spec, twist_specs
 
 
 def F(num, den=1):
@@ -117,7 +120,7 @@ def test_spec_from_json_rejects_malformed_input(data, path):
 # -- multiplication and divisions --------------------------------------------------
 
 def test_identity_point():
-    e = LoopPoint.origin()
+    e = LoopPoint(0, 0)
     p = LoopPoint(F(3), F(-2))
     assert lmul(SQUARE, e, p) == p
     assert lmul(SQUARE, p, e) == p
@@ -129,7 +132,7 @@ def test_lmul_examples():
 
 
 def test_division_examples():
-    e = LoopPoint.origin()
+    e = LoopPoint(0, 0)
     assert ldiv(SQUARE, e, e) == e
     assert ldiv(SQUARE, LoopPoint(1, 0), LoopPoint(2, -1)) == LoopPoint(1, 0)
     b = LoopPoint(F(5), F(7))
@@ -151,7 +154,7 @@ def test_loop_axioms_random():
 # -- coset action (master oracle) ----------------------------------------------------
 
 def test_left_translation_examples():
-    assert left_translation(SQUARE, LoopPoint.origin()) == GroupElement.identity(1)
+    assert left_translation(SQUARE, LoopPoint(0, 0)) == GroupElement.identity(1)
     assert left_translation(SQUARE, LoopPoint(1, 5)) == GroupElement(1, F(1), (F(1),), F(5))
 
 
@@ -177,8 +180,8 @@ def test_section_solve_example():
 
 
 def test_section_solve_identity_pair():
-    solution, _ = section_solve(COMM4, LoopPoint.origin(), LoopPoint.origin())
-    assert solution == LoopPoint.origin()
+    solution, _ = section_solve(COMM4, LoopPoint(0, 0), LoopPoint(0, 0))
+    assert solution == LoopPoint(0, 0)
 
 
 def test_section_stabilizer_params_match_closed_form():
@@ -216,6 +219,34 @@ def test_comm_defect_examples():
     assert comm_defect(zeros).is_zero
 
 
+def test_twist_table_is_the_twist():
+    # sum_ij T[i][j] u1^i u2^j is the z-correction of lmul, and the table's
+    # side is max(n, deg v_j) + 1
+    rng = random.Random(83)
+    for spec in twist_specs(83, 60):
+        t = twist_table(spec)
+        assert len(t) == max(spec.n, *(p.degree for p in spec.v)) + 1
+        assert all(len(row) == len(t) and all(type(c) is Fraction for c in row) for row in t)
+        a, b = rand_point(rng), rand_point(rng)
+        value = sum(c * a.u ** i * b.u ** j for i, row in enumerate(t) for j, c in enumerate(row))
+        assert lmul(spec, a, b).z == a.z + b.z + value
+
+
+def test_comm_defect_matches_the_nested_product_oracle():
+    # 320 seeded specs, n 1..6, degree <= 8: random (zero and constant-free
+    # polynomials of any degree), above degree n, signed-symmetric and
+    # perturbed; the table form must equal the nested products, with zero
+    # rows as Fraction(0) exactly like the products leave them
+    specs = twist_specs(89)
+    commutative = 0
+    for spec in specs:
+        defect = comm_defect(spec)
+        assert defect == nested_comm_defect(spec)
+        assert all(type(c) is Poly if c else type(c) is Fraction for c in defect.coeffs)
+        commutative += defect.is_zero
+    assert 80 <= commutative < len(specs)
+
+
 def test_comm_matrix_construction():
     cm = CommMatrix(2, RatMatrix(((0, 1), (-1, 1))))
     assert cm.signed_symmetric
@@ -226,7 +257,7 @@ def test_comm_matrix_construction():
 
 
 def test_comm_matrix_zero_and_scalar():
-    zero = spec_from_comm_matrix(CommMatrix(2, RatMatrix.zero(2, 2)))
+    zero = spec_from_comm_matrix(CommMatrix(2, RatMatrix(((0, 0), (0, 0)))))
     assert all(p.is_zero for p in zero.v)
     assert not zero.proper
 
@@ -276,3 +307,11 @@ def test_signed_symmetric_always_commutative():
         cm = CommMatrix(n, RatMatrix(tuple(tuple(r) for r in entries)))
         spec = spec_from_comm_matrix(cm)
         assert comm_defect(spec).is_zero
+
+
+@pytest.mark.parametrize("module", [loop, mult])
+def test_all_lists_every_public_definition(module):
+    defined = {name for name, obj in vars(module).items()
+               if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__
+               and (inspect.isfunction(obj) or inspect.isclass(obj))}
+    assert defined and defined <= set(module.__all__)

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from fililoop import mult
-from fililoop.exact import Poly, RatMatrix, nest_inner, nest_outer
+from fililoop.exact import Poly, RatMatrix
 from fililoop.algebra import basis_element
 from fililoop.group import GroupElement, commutator, in_H
-from fililoop.loop import CommMatrix, LoopSpec, spec_from_comm_matrix
+from fililoop.loop import CommMatrix, LoopSpec, spec_from_comm_matrix, twist_table
 from fililoop.mult import (
     DEFAULT_GRID,
     LeftTranslationFamily,
@@ -27,7 +27,15 @@ from fililoop.mult import (
     transversal_identity_holds,
 )
 
-from helpers import rand_fraction, rand_poly, rand_proper_spec
+from helpers import (
+    nest_inner,
+    nest_outer,
+    nested_companion_residual,
+    rand_fraction,
+    rand_poly,
+    rand_proper_spec,
+    twist_specs,
+)
 
 
 def F(num, den=1):
@@ -73,6 +81,43 @@ def test_solve_companions_random_specs_verify():
         solution = solve_companions(spec)
         if solution is not None:
             assert companion_residual(spec, solution.s).is_zero
+
+
+def test_companion_residual_matches_the_nested_product_oracle():
+    # 320 seeded specs (n 1..6, degree <= 8, random, above degree n,
+    # signed-symmetric, perturbed); the candidates are the solution when one
+    # exists, that solution with one s_k moved, zero polynomials and random
+    # polynomials of degree up to 9
+    rng = random.Random(101)
+    wrong = 0
+    for spec in twist_specs(101):
+        n = spec.n
+        solution = solve_companions(spec)
+        candidates = [(Poly(),) * n,
+                      tuple(rand_poly(rng, rng.randint(0, 9)) for _ in range(n))]
+        if solution is not None:
+            k = rng.randrange(n)
+            moved = list(solution.s)
+            moved[k] = moved[k] + rand_poly(rng, rng.randint(0, 9))
+            candidates += [solution.s, tuple(moved)]
+        for s in candidates:
+            residual = companion_residual(spec, s)
+            assert residual == nested_companion_residual(spec, s)
+            assert all(type(c) is Poly if c else type(c) is Fraction for c in residual.coeffs)
+            wrong += not residual.is_zero
+    assert wrong > 600
+
+
+def test_solve_companions_none_iff_a_table_row_above_n():
+    none = 0
+    for spec in twist_specs(103):
+        solution = solve_companions(spec)
+        assert (solution is None) == (len(twist_table(spec)) > spec.n + 1)
+        if solution is None:
+            none += 1
+        else:
+            assert nested_companion_residual(spec, solution.s).is_zero
+    assert 80 <= none < 320
 
 
 def test_comm_matrix_specs_have_zero_companions():
@@ -138,7 +183,7 @@ def nested_transversal_identity(v1, trans):
     products (outer x, inner u) and compared as a whole."""
     x = Poly.monomial(1)
     left = nest_outer(x) * nest_inner(v1)
-    right = Poly.zero()
+    right = Poly()
     for k in range(1, trans.m + 1):
         right = right + F((-1) ** (k + 1)) * nest_outer(trans.a[k - 1] * x) * nest_inner(Poly.monomial(k))
     return (left - right).is_zero
@@ -195,7 +240,7 @@ def test_builders_make_fraction_fields_from_int_samples():
         assert all(type(v) is Fraction for v in (g.c, *g.a, g.b))
         assert g == GroupElement(g.n, g.c, g.a, g.b)
     with pytest.raises(ValueError):
-        LeftTranslationFamily(0, Poly.zero())
+        LeftTranslationFamily(0, Poly())
     with pytest.raises(ValueError):
         TransversalSpec(0, ())
 

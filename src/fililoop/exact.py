@@ -250,15 +250,17 @@ class Poly:
         return NotImplemented
 
     def __call__(self, point: object):
-        """Horner evaluation at an int, Fraction or Poly point; float and bool raise TypeError."""
+        """Horner evaluation at an int, Fraction or Poly point; float and bool raise TypeError.
+
+        Horner starts from the leading coefficient, so a scalar point gives a
+        Fraction; the zero polynomial gives Fraction(0) at any point.
+        """
         if isinstance(point, (float, bool)):
             raise TypeError(f"cannot evaluate at a {type(point).__name__}")
-        result: object = 0
-        for c in reversed(self.coeffs):
+        result = self.coeffs[-1] if self.coeffs else Fraction(0)
+        for c in self.coeffs[-2::-1]:
             result = result * point + c
-        if isinstance(result, (Fraction, Poly)):
-            return result
-        return Fraction(result)
+        return result
 
     # -- comparison / display ------------------------------------------
 

@@ -127,10 +127,11 @@ class LoopPoint(Record):
 
 
 def _twist(spec: LoopSpec, u1: Fraction, u2: Fraction) -> Fraction:
-    """The z-correction sum_k (-1)^k u2^k v_k(u1)."""
+    """The z-correction sum_k (-1)^k u2^k v_k(u1), as one Horner scheme in u2 over the v_k(u1)."""
     total = Fraction(0)
-    for k in range(1, spec.n + 1):
-        total += Fraction((-1) ** k) * u2 ** k * spec.v[k - 1](u1)
+    for k in range(spec.n, 0, -1):
+        value = spec.v[k - 1](u1)
+        total = (total - value if k % 2 else total + value) * u2
     return total
 
 

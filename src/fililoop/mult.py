@@ -182,15 +182,13 @@ def transversal_identity_holds(v1: Poly, trans: TransversalSpec) -> bool:
 
 def left_translation_elements(family: LeftTranslationFamily,
                               samples: Sequence[tuple[Fraction, Fraction]]) -> list[GroupElement]:
-    """Instantiate the embedded left-translation family at (u, z) samples."""
+    """Instantiate the left-translation family at (u, z) samples, evaluating v1 once per u."""
     m = family.m
     zeros = (Fraction(0),) * (m - 1)
-    out = []
-    for u, z in samples:
-        u, z = as_fraction(u), as_fraction(z)
-        value = family.v1(u)
-        out.append(GroupElement._exact(m, u, (value, *zeros), -value * u / 2 + z))
-    return out
+    points = [(as_fraction(u), as_fraction(z)) for u, z in samples]
+    values = {u: family.v1(u) for u in {u for u, _ in points}}
+    shifts = {u: -value * u / 2 for u, value in values.items()}
+    return [GroupElement._exact(m, u, (values[u], *zeros), shifts[u] + z) for u, z in points]
 
 
 def transversal_elements(trans: TransversalSpec,

@@ -73,6 +73,40 @@ def test_poly_eval_is_ring_homomorphism():
         assert (p + q)(x) == p(x) + q(x)
 
 
+def naive_eval(p, x):
+    """sum_i c_i x^i with powers of x built by repeated products, not Horner."""
+    total, power = Fraction(0), Fraction(1)
+    for c in p.coeffs:
+        total = total + c * power
+        power = power * x
+    return total
+
+
+def test_poly_eval_matches_the_naive_sum():
+    # the zero polynomial, constants, flat and nested polynomials at int,
+    # Fraction and Poly points (zero and constant Poly points included)
+    rng = random.Random(131)
+
+    def flat(max_degree):
+        return Poly([rand_fraction(rng) for _ in range(rng.randint(0, max_degree + 1))])
+
+    polys = [Poly(), Poly([F(-3, 4)]), Poly([0, 1])]
+    polys += [flat(6) for _ in range(120)]
+    polys += [Poly([flat(3) for _ in range(rng.randint(1, 4))]) for _ in range(60)]
+    points = [0, 1, -2, F(0), F(-5, 3), Poly(), Poly([F(2, 7)]), Poly([1, 1])]
+    for p in polys:
+        nested = any(isinstance(c, Poly) for c in p.coeffs)
+        for x in points + [rng.randint(-9, 9), rand_fraction(rng), flat(3)]:
+            got = p(x)
+            assert got == naive_eval(p, x)
+            assert isinstance(got, (Fraction, Poly))
+            if p.is_zero or (not nested and not isinstance(x, Poly)):
+                assert type(got) is Fraction
+        for bad in (0.0, 1.5, True, False):
+            with pytest.raises(TypeError):
+                p(bad)
+
+
 def test_poly_classify():
     assert Poly([0, 3]).classify() is PolyKind.LINEAR
     assert Poly([0, 0, 1]).classify() is PolyKind.NONLINEAR

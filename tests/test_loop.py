@@ -26,7 +26,7 @@ from fililoop.loop import (
     twist_table,
 )
 
-from helpers import nested_comm_defect, rand_point, rand_proper_spec, twist_specs
+from helpers import nested_comm_defect, rand_fraction, rand_point, rand_proper_spec, twist_specs
 
 
 def F(num, den=1):
@@ -149,6 +149,34 @@ def test_loop_axioms_random():
             assert ldiv(spec, a, lmul(spec, a, b)) == b
             assert lmul(spec, rdiv(spec, b, a), a) == b
             assert rdiv(spec, lmul(spec, b, a), a) == b
+
+
+def explicit_twist(spec, u1, u2):
+    """sum_k (-1)^k u2^k v_k(u1), with each v_k expanded from its coefficients."""
+    return sum(((-1) ** k * u2 ** k * sum(c * u1 ** i for i, c in enumerate(v.coeffs))
+                for k, v in enumerate(spec.v, start=1)), Fraction(0))
+
+
+def test_products_and_divisions_match_the_explicit_twist():
+    rng = random.Random(67)
+    special = [F(0), F(1), F(-1), F(-3), F(1, 2), F(-2, 3), F(7, 5)]
+
+    def coordinate():
+        return rng.choice(special) if rng.random() < 0.5 else rand_fraction(rng)
+
+    for spec in twist_specs(71):
+        for _ in range(4):
+            a, b = LoopPoint(coordinate(), coordinate()), LoopPoint(coordinate(), coordinate())
+            u = b.u - a.u
+            z = a.z + b.z + explicit_twist(spec, a.u, b.u)
+            assert lmul(spec, a, b) == LoopPoint(a.u + b.u, z)
+            assert ldiv(spec, a, b) == LoopPoint(u, b.z - a.z - explicit_twist(spec, a.u, u))
+            assert rdiv(spec, b, a) == LoopPoint(u, b.z - a.z - explicit_twist(spec, u, a.u))
+            assert lmul(spec, a, ldiv(spec, a, b)) == b and ldiv(spec, a, lmul(spec, a, b)) == b
+            assert lmul(spec, rdiv(spec, b, a), a) == b and rdiv(spec, lmul(spec, b, a), a) == b
+            # the twist vanishes when either u is 0, since every v_k(0) = 0
+            assert lmul(spec, LoopPoint(0, a.z), b).z == a.z + b.z
+            assert lmul(spec, a, LoopPoint(0, b.z)).z == a.z + b.z
 
 
 # -- coset action (master oracle) ----------------------------------------------------

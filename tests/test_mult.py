@@ -245,6 +245,32 @@ def test_builders_make_fraction_fields_from_int_samples():
         TransversalSpec(0, ())
 
 
+def test_left_translation_elements_evaluate_v1_once_per_u(monkeypatch):
+    # grids that repeat u values with several z values give the per-sample
+    # elements g(u, v1(u), 0, ..., 0, -v1(u) u / 2 + z), with one v1 call per u
+    rng = random.Random(59)
+    calls = []
+    horner = Poly.__call__
+    monkeypatch.setattr(Poly, "__call__", lambda p, x: calls.append(x) or horner(p, x))
+    for _ in range(40):
+        m = rng.randint(1, 8)
+        fam = LeftTranslationFamily(m, rand_poly(rng, rng.randint(1, m), zero_constant=True))
+        pool = (0, -1, 2, F(-1, 2), rand_fraction(rng))
+        us = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        zs = [rand_fraction(rng) for _ in range(rng.randint(2, 4))]
+        samples = [(u, z) for u in us + us[:1] for z in zs] + [(us[0], zs[0])]
+        calls.clear()
+        els = left_translation_elements(fam, samples)
+        assert sorted(calls) == sorted(set(map(F, us)))
+        assert els == [GroupElement(m, F(u), (horner(fam.v1, F(u)), *[F(0)] * (m - 1)),
+                                    -horner(fam.v1, F(u)) * u / 2 + z) for u, z in samples]
+    calls.clear()
+    grid = mult.SampleGrid((F(1), F(1), F(-2)), (F(0), F(1), F(5, 2)))
+    assert left_translation_elements(LeftTranslationFamily(2, SQUARE_POLY), grid_points(grid)) \
+        == [GroupElement(2, u, (u * u, F(0)), -u ** 3 / 2 + z) for u, z in grid_points(grid)]
+    assert sorted(calls) == [F(-2), F(1)]
+
+
 # -- H-connectedness --------------------------------------------------------------------
 
 def test_h_connected_true_case():

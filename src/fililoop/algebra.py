@@ -7,6 +7,12 @@ closure machinery for subalgebras, the normal form of non-commutative
 subalgebras, the largest ideal contained in a subalgebra, the abelian
 subalgebras spanned by e_{1+i} + a_i e_{n+2}, and the automorphism that
 straightens those onto span{e_2, ..., e_{n+1}}.
+
+subalgebra_closure is the one place that knows the subalgebra lattice: every
+bracket-closed subspace lies in the abelian ideal A = span{e_2, ..., e_{n+2}}
+or equals span{e_1 + t} + span{e_j, ..., e_{n+2}}.  Closedness,
+commutativity and the normal form are read off the RREF rows with no
+pairwise brackets.
 """
 
 from __future__ import annotations
@@ -144,14 +150,15 @@ class SubalgebraBasis(Record):
         return in_row_space(element.coeffs, self.coord_rows())
 
     def is_bracket_closed(self) -> bool:
-        rows, items = self.coord_rows(), self.basis
-        return all(in_row_space(bracket(items[i], items[j]).coeffs, rows)
-                   for i in range(len(items)) for j in range(i + 1, len(items)))
+        """True iff the subspace is zero or equals its subalgebra_closure."""
+        return not self.basis or subalgebra_closure(self.basis) == self
 
     def is_commutative(self) -> bool:
-        items = self.basis
-        return all(bracket(items[i], items[j]).is_zero
-                   for i in range(len(items)) for j in range(i + 1, len(items)))
+        """True iff no row has an e_1 component or every row after the first
+        lies in span{e_{n+2}}: the RREF has at most one e_1 row, e_1 + a, and
+        ad(e_1 + a) acts on A as ad e_1, whose kernel in A is span{e_{n+2}}."""
+        rows = self.coord_rows()
+        return not rows or not rows[0][0] or not any(any(r[:-1]) for r in rows[1:])
 
     def to_json(self) -> list:
         return [e.to_json() for e in self.basis]
@@ -213,28 +220,20 @@ class SubalgebraForm(Record):
 
 
 def classify_subalgebra(v: SubalgebraBasis) -> Optional[SubalgebraForm]:
-    """Normal form of a bracket-closed subspace; None when commutative."""
+    """Normal form of a bracket-closed subspace; None when commutative.
+
+    A closed, non-commutative subspace is span{x0} + span{e_index, ..., e_{n+2}}
+    (subalgebra_closure), so its RREF rows are x0 = e_1 + offset and the unit
+    rows of the tail: index is the pivot of the second row, and the offset is
+    the first row without its e_1 entry.
+    """
     if not v.is_bracket_closed():
         raise NotClosedError("subspace is not closed under the bracket")
     if v.is_commutative():
         return None
-    n = v.n
-    size = n + 2
-    rows = v.coord_rows()
-    first = rows[0]
-    if not first[0]:
-        raise RuntimeError("non-commutative subspace with no e_1 component")
-    tail = rows[1:]
-    start_col = size - len(tail)
-    for offset_col, row in enumerate(tail):
-        expected = tuple(Fraction(int(c == start_col + offset_col)) for c in range(size))
-        if row != expected:
-            raise RuntimeError("bracket-closed subspace is not in tail normal form")
-    index = start_col + 1
-    if index > n + 1:
-        raise RuntimeError("non-commutative subspace cannot have an empty bracket range")
-    offset = AlgebraElement(n, (Fraction(0),) + first[1:])
-    return SubalgebraForm(n, index, offset)
+    first, second = v.coord_rows()[:2]
+    index = next(i for i, x in enumerate(second, 1) if x)
+    return SubalgebraForm(v.n, index, AlgebraElement(v.n, (Fraction(0),) + first[1:]))
 
 
 def core_ideal(h: SubalgebraBasis) -> SubalgebraBasis:

@@ -37,7 +37,7 @@ from .algebra import (
     phi_automorphism,
     subalgebra_closure,
 )
-from .exact import Poly, PolyKind, Record, as_fraction
+from .exact import Poly, Record, as_fraction
 from .group import GroupElement, commutator, from_matrix, ginv, glog, gmul, in_H, to_matrix
 from .loop import LoopSpec, twist_table
 
@@ -104,11 +104,8 @@ def solve_companions(spec: LoopSpec) -> Optional[CompanionSolution]:
     table = twist_table(spec)
     if any(map(any, table[spec.n + 1:])):
         return None
-    solution = CompanionSolution(tuple(Fraction((-1) ** k) * Poly(table[k]) - v_k
-                                       for k, v_k in enumerate(spec.v, 1)))
-    if not companion_residual(spec, solution.s).is_zero:
-        raise RuntimeError("companion solution failed the identity check")
-    return solution
+    return CompanionSolution(tuple(Fraction((-1) ** k) * Poly(table[k]) - v_k
+                                   for k, v_k in enumerate(spec.v, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,28 +144,22 @@ class LeftTranslationFamily(Record):
             raise ValueError("ambient dimension is smaller than the polynomial degree")
 
 
-def _check_v1(v1: Poly) -> None:
-    if v1.coefficient(0) != 0:
-        raise ValueError(f"v1(0) = {v1.coefficient(0)}, loop identity requires 0")
-    if v1.classify() is not PolyKind.NONLINEAR:
-        raise ValueError("v1 must be non-linear (the loop is not proper otherwise)")
-
-
 def h_connected_transversal(v1: Poly) -> TransversalSpec:
     """The unique linear transversal whose commutators with the left
     translations of the v1-loop land in the stabilizer subgroup.
 
     For v1(u) = sum_k c_k u^k of degree m the coefficients are
     a_k = (-1)^(k+1) c_k, making x*v1(u) = sum_k (-1)^(k+1) u^k (a_k x) a
-    formal identity; a_m is automatically nonzero.
+    formal identity by construction; a_m is automatically nonzero.  v1 is
+    validated as the spec LoopSpec(1, (v1,)): SpecError when v1(0) != 0, and
+    ValueError with its first properness reason when the loop is not proper.
     """
-    _check_v1(v1)
+    reasons = LoopSpec(1, (v1,)).proper_reasons
+    if reasons:
+        raise ValueError(reasons[0])
     m = v1.degree
-    a = tuple(Fraction((-1) ** (k + 1)) * v1.coefficient(k) for k in range(1, m + 1))
-    spec = TransversalSpec(m, a)
-    if not transversal_identity_holds(v1, spec):
-        raise RuntimeError("transversal coefficients failed the formal identity")
-    return spec
+    return TransversalSpec(m, tuple(Fraction((-1) ** (k + 1)) * v1.coefficient(k)
+                                    for k in range(1, m + 1)))
 
 
 def transversal_identity_holds(v1: Poly, trans: TransversalSpec) -> bool:

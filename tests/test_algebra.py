@@ -94,6 +94,7 @@ def test_closure_is_bracket_closed():
         gens = [rand_algebra_element(rng, n) for _ in range(rng.randint(1, 3))]
         closed = subalgebra_closure(gens)
         assert closed.is_bracket_closed()
+        assert pairwise_is_bracket_closed(closed)
         for g in gens:
             assert closed.contains(g)
 
@@ -116,7 +117,7 @@ def closure_generators(rng, n, kind):
     """Generator sets of one kind: sparse ones, ones with no e_1 component,
     a single generator, sets with a zero generator, or with duplicates."""
     count = 1 if kind == "single" else rng.randint(1, 4)
-    gens = [sparse_algebra_element(rng, n) for _ in range(count)]
+    gens = [sparse_algebra_element(rng, n) for _ in range(rng.randint(1, 4))]
     if kind == "no-e1":
         gens = [AlgebraElement(n, (Fraction(0),) + g.coeffs[1:]) for g in gens]
     elif kind == "zero":
@@ -138,11 +139,89 @@ def test_closure_matches_pairwise_oracle():
         closed = subalgebra_closure(gens)
         assert closed == pairwise_closure(gens), (kind, gens)
         assert closed.is_bracket_closed()
+        assert pairwise_is_bracket_closed(closed)
         rows = closed.coord_rows()
         if rows and rows[0][0] and len(SubalgebraBasis.span(n, gens).basis) > 2:
             seen.add("three or more rows with e_1")
         seen.add("commutative" if closed.is_commutative() else "non-commutative")
     assert seen == {"three or more rows with e_1", "commutative", "non-commutative"}
+
+
+def pairwise_is_bracket_closed(v):
+    """Closedness by brute force: every bracket of two basis vectors lies in v."""
+    items = v.basis
+    return all(v.contains(bracket(items[i], items[j]))
+               for i in range(len(items)) for j in range(i + 1, len(items)))
+
+
+def pairwise_is_commutative(v):
+    """Commutativity by brute force: every bracket of two basis vectors is zero."""
+    items = v.basis
+    return all(bracket(items[i], items[j]).is_zero
+               for i in range(len(items)) for j in range(i + 1, len(items)))
+
+
+def pairwise_classify(v):
+    """The normal form checked row by row against span{e_1 + t, e_index, ..., e_{n+2}}."""
+    if not pairwise_is_bracket_closed(v):
+        raise NotClosedError("subspace is not closed under the bracket")
+    if pairwise_is_commutative(v):
+        return None
+    size = v.n + 2
+    first, *tail = v.coord_rows()
+    if not first[0]:
+        raise RuntimeError("non-commutative subspace with no e_1 component")
+    start_col = size - len(tail)
+    for offset_col, row in enumerate(tail):
+        if row != tuple(Fraction(int(c == start_col + offset_col)) for c in range(size)):
+            raise RuntimeError("bracket-closed subspace is not in tail normal form")
+    if start_col + 1 > v.n + 1:
+        raise RuntimeError("non-commutative subspace cannot have an empty bracket range")
+    return start_col + 1, AlgebraElement(v.n, (Fraction(0),) + first[1:])
+
+
+def lattice_subspace(rng, n, kind):
+    """A subspace of one kind: a closure, a random span with or without an e_1
+    row, a subspace of A = span{e_2, ..., e_{n+2}}, span{e_1 + t, e_{n+2}}
+    (closed and commutative) or the zero subspace."""
+    if kind == "closure":
+        return subalgebra_closure(closure_generators(rng, n, rng.choice(("sparse", "single", "zero"))))
+    if kind == "zero":
+        return SubalgebraBasis.span(n, [zero_element(n)] * rng.randint(0, 2))
+    gens = [rng.choice([sparse_algebra_element, rand_algebra_element])(rng, n) for _ in range(rng.randint(1, 4))]
+    if kind == "span-e1":
+        gens.append(e(n, 1) + sparse_algebra_element(rng, n))
+    elif kind == "span-in-A":
+        gens = [AlgebraElement(n, (Fraction(0),) + g.coeffs[1:]) for g in gens]
+    elif kind == "e1-and-top":
+        t = AlgebraElement(n, (Fraction(0),) + sparse_algebra_element(rng, n).coeffs[1:])
+        gens = [e(n, 1) + t, rand_fraction(rng, 1) * e(n, n + 2)]
+    return SubalgebraBasis.span(n, gens)
+
+
+def test_lattice_reading_matches_the_pairwise_oracles():
+    rng = random.Random(1407)
+    kinds = ("closure", "span-e1", "span-in-A", "e1-and-top", "zero")
+    seen = set()
+    for case in range(1500):
+        n = 1 + case % 10
+        kind = kinds[case // 10 % len(kinds)]
+        v = lattice_subspace(rng, n, kind)
+        closed = pairwise_is_bracket_closed(v)
+        assert v.is_bracket_closed() == closed, (kind, v)
+        assert v.is_commutative() == pairwise_is_commutative(v), (kind, v)
+        if not closed:
+            for classify in (classify_subalgebra, pairwise_classify):
+                with pytest.raises(NotClosedError):
+                    classify(v)
+            seen.add("not closed")
+            continue
+        form, expected = classify_subalgebra(v), pairwise_classify(v)
+        assert (form and (form.index, form.offset)) == expected, (kind, v)
+        seen.add("commutative" if form is None else "normal form")
+        seen.add(f"{kind} closed")
+    assert seen == {"not closed", "commutative", "normal form",
+                    *(f"{kind} closed" for kind in kinds)}
 
 
 # -- normal form ---------------------------------------------------------------
@@ -199,6 +278,8 @@ def test_core_ideal_examples():
     assert core_ideal(centre) == centre
     h = SubalgebraBasis.span(1, [e(1, 2), e(1, 3)])
     assert core_ideal(h) == h
+    zero = SubalgebraBasis.span(3, [])
+    assert core_ideal(zero) == zero
 
 
 def test_core_ideal_is_an_ideal_inside_h():

@@ -9,7 +9,7 @@ from fililoop import mult
 from fililoop.exact import Poly, RatMatrix
 from fililoop.algebra import basis_element
 from fililoop.group import GroupElement, commutator, in_H
-from fililoop.loop import CommMatrix, LoopSpec, spec_from_comm_matrix, twist_table
+from fililoop.loop import CommMatrix, LoopSpec, SpecError, spec_from_comm_matrix, twist_table
 from fililoop.mult import (
     DEFAULT_GRID,
     LeftTranslationFamily,
@@ -172,9 +172,12 @@ def test_transversal_leading_coefficient_nonzero():
 
 
 def test_transversal_rejects_linear():
-    with pytest.raises(ValueError):
+    # v1 is validated as the spec LoopSpec(1, (v1,)) and reports its first reason
+    with pytest.raises(ValueError, match="^v1 must be non-linear$"):
         h_connected_transversal(Poly([0, 5]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^v1 must be non-constant$"):
+        h_connected_transversal(Poly())
+    with pytest.raises(SpecError, match="loop identity requires 0"):
         h_connected_transversal(Poly([1, 0, 1]))
 
 

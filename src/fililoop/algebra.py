@@ -121,21 +121,22 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 class SubalgebraBasis(Record):
     """Subspace of the algebra held as a reduced row echelon basis.
 
-    The reduced form is canonical, so two SubalgebraBasis values are equal
-    iff they describe the same subspace.
+    The constructor reduces any basis it is given, and the methods read the
+    rows as RREF.  The form is canonical: equal values span equal subspaces.
     """
 
     n: int
     basis: tuple[AlgebraElement, ...]
 
+    def __post_init__(self) -> None:
+        if any(e.n != self.n for e in self.basis):
+            raise ValueError("element dimension does not match subalgebra dimension")
+        rows = row_space_basis([e.coeffs for e in self.basis]) if self.basis else ()
+        object.__setattr__(self, "basis", tuple(AlgebraElement(self.n, row) for row in rows))
+
     @classmethod
     def span(cls, n: int, elements: Iterable[AlgebraElement]) -> SubalgebraBasis:
-        elems = list(elements)
-        for e in elems:
-            if e.n != n:
-                raise ValueError("element dimension does not match subalgebra dimension")
-        rows = row_space_basis([e.coeffs for e in elems]) if elems else ()
-        return cls(n, tuple(AlgebraElement(n, row) for row in rows))
+        return cls(n, tuple(elements))
 
     @property
     def dimension(self) -> int:

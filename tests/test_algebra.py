@@ -117,7 +117,7 @@ def closure_generators(rng, n, kind):
     """Generator sets of one kind: sparse ones, ones with no e_1 component,
     a single generator, sets with a zero generator, or with duplicates."""
     count = 1 if kind == "single" else rng.randint(1, 4)
-    gens = [sparse_algebra_element(rng, n) for _ in range(rng.randint(1, 4))]
+    gens = [sparse_algebra_element(rng, n) for _ in range(count)]
     if kind == "no-e1":
         gens = [AlgebraElement(n, (Fraction(0),) + g.coeffs[1:]) for g in gens]
     elif kind == "zero":
@@ -222,6 +222,38 @@ def test_lattice_reading_matches_the_pairwise_oracles():
         seen.add(f"{kind} closed")
     assert seen == {"not closed", "commutative", "normal form",
                     *(f"{kind} closed" for kind in kinds)}
+
+
+def test_constructor_reduces_any_basis():
+    # SubalgebraBasis(n, basis) reduces its basis to RREF as span does, so the
+    # methods that read the rows answer alike for every basis of a subspace
+    v = SubalgebraBasis(2, (e(2, 2), e(2, 1)))
+    assert v == SubalgebraBasis.span(2, [e(2, 1), e(2, 2)])
+    assert v.basis == (e(2, 1), e(2, 2))
+    assert not v.is_commutative() and not pairwise_is_commutative(v)
+    assert not v.is_bracket_closed()
+    with pytest.raises(NotClosedError):
+        classify_subalgebra(v)
+    with pytest.raises(NotClosedError):
+        core_ideal(v)
+    closed = SubalgebraBasis(2, (e(2, 4), e(2, 3) + e(2, 4), e(2, 1) + e(2, 2) + e(2, 3)))
+    assert closed.is_bracket_closed() and not closed.is_commutative()
+    form = classify_subalgebra(closed)
+    assert form.index == 3 and form.offset == e(2, 2)
+    with pytest.raises(ValueError):
+        SubalgebraBasis(2, (e(3, 1),))
+    rng = random.Random(1409)
+    kinds = ("closure", "span-e1", "span-in-A", "e1-and-top", "zero")
+    for case in range(300):
+        n = 1 + case % 10
+        v = lattice_subspace(rng, n, kinds[case % len(kinds)])
+        # a unitriangular, so invertible, recombination of the rows, shuffled
+        rows = [b + rand_fraction(rng) * c for b, c in zip(v.basis, v.basis[1:])] + list(v.basis[-1:])
+        rng.shuffle(rows)
+        w = SubalgebraBasis(n, tuple(rows))
+        assert w == v
+        assert w.is_bracket_closed() == pairwise_is_bracket_closed(v)
+        assert w.is_commutative() == pairwise_is_commutative(v)
 
 
 # -- normal form ---------------------------------------------------------------

@@ -25,9 +25,7 @@ from .exact import (
     RatMatrix,
     Record,
     as_fraction,
-    in_row_space,
     nullspace,
-    rational_from_str,
     row_space_basis,
     span_residual,
 )
@@ -81,10 +79,6 @@ class AlgebraElement(Record):
 
     def to_json(self) -> dict:
         return {"n": self.n, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> AlgebraElement:
-        return cls(int(data["n"]), tuple(rational_from_str(s) for s in data["coeffs"]))
 
 
 def _same_n(x: AlgebraElement, y: AlgebraElement) -> None:
@@ -148,7 +142,7 @@ class SubalgebraBasis(Record):
     def contains(self, element: AlgebraElement) -> bool:
         if element.n != self.n:
             return False
-        return in_row_space(element.coeffs, self.coord_rows())
+        return not any(span_residual(element.coeffs, self.coord_rows()))
 
     def is_bracket_closed(self) -> bool:
         """True iff the subspace is zero or equals its subalgebra_closure."""
@@ -163,10 +157,6 @@ class SubalgebraBasis(Record):
 
     def to_json(self) -> list:
         return [e.to_json() for e in self.basis]
-
-    @classmethod
-    def from_json(cls, n: int, data: list) -> SubalgebraBasis:
-        return cls.span(n, [AlgebraElement.from_json(d) for d in data])
 
 
 def full_algebra(n: int) -> SubalgebraBasis:

@@ -39,6 +39,7 @@ from .loop import (
 )
 from .mult import (
     DEFAULT_GRID,
+    Certificate,
     SampleGrid,
     inn_correspondence_check,
     mult_group_report,
@@ -115,30 +116,27 @@ def load_spec(path: str) -> LoopSpec:
 
 
 # ---------------------------------------------------------------------------
-# Verb handlers: each returns (result payload, certificates)
+# Verb handlers: each returns (result payload, list of Certificate)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(ns) -> tuple[dict, list[dict]]:
+def _cmd_validate(ns) -> tuple[dict, list[Certificate]]:
     spec = load_spec(ns.spec)
     # identity violations already exit 2 inside load_spec
-    result = {"identity_ok": True, "proper": spec.proper,
-              "reasons": list(spec.proper_reasons)}
-    certs = [
-        {"name": "identity", "pass": True, "witness": None},
-        {"name": "proper", "pass": spec.proper, "witness": result["reasons"] or None},
-    ]
-    return result, certs
+    reasons = list(spec.proper_reasons)
+    result = {"identity_ok": True, "proper": spec.proper, "reasons": reasons}
+    return result, [Certificate("identity", True),
+                    Certificate("proper", spec.proper, reasons or None)]
 
 
-def _cmd_mul(ns) -> tuple[dict, list[dict]]:
+def _cmd_mul(ns) -> tuple[dict, list[Certificate]]:
     spec = load_spec(ns.spec)
     a = _parse_point(ns.a, "--a")
     b = _parse_point(ns.b, "--b")
     return {"result": lmul(spec, a, b).to_json()}, []
 
 
-def _cmd_div(ns) -> tuple[dict, list[dict]]:
+def _cmd_div(ns) -> tuple[dict, list[Certificate]]:
     spec = load_spec(ns.spec)
     a = _parse_point(ns.a, "--a")
     b = _parse_point(ns.b, "--b")
@@ -159,24 +157,23 @@ def _nested_strings(defect) -> list[list[str]]:
     return out
 
 
-def _cmd_comm(ns) -> tuple[dict, list[dict]]:
+def _cmd_comm(ns) -> tuple[dict, list[Certificate]]:
     spec = load_spec(ns.spec)
     defect = comm_defect(spec)
     return {"commutative": defect.is_zero, "defect": _nested_strings(defect)}, []
 
 
-def _cmd_mult_group(ns) -> tuple[dict, list[dict]]:
+def _cmd_mult_group(ns) -> tuple[dict, list[Certificate]]:
     spec = load_spec(ns.spec)
     solution = solve_companions(spec)
     result = {
         "mult_equals_g": solution is not None,
         "companions": solution.to_json() if solution is not None else None,
     }
-    certs = [{"name": "companions-exist", "pass": solution is not None, "witness": None}]
-    return result, certs
+    return result, [Certificate("companions-exist", solution is not None)]
 
 
-def _cmd_thm3(ns) -> tuple[dict, list[dict]]:
+def _cmd_thm3(ns) -> tuple[dict, list[Certificate]]:
     spec = load_spec(ns.spec)
     if spec.n != 1:
         raise CliError(f"{ns.spec}: thm3 needs a spec with n = 1, got n = {spec.n}")
@@ -186,11 +183,10 @@ def _cmd_thm3(ns) -> tuple[dict, list[dict]]:
     except ValueError as exc:
         raise CliError(f"{ns.spec}: {exc}") from None
     payload = {"claim": report.claim, "mult_dimension": report.mult_dimension}
-    certs = [c.to_json() for c in report.certificates]
-    return payload, certs
+    return payload, list(report.certificates)
 
 
-def _cmd_algebra_bracket(ns) -> tuple[dict, list[dict]]:
+def _cmd_algebra_bracket(ns) -> tuple[dict, list[Certificate]]:
     x = _parse_element(ns.x, "--x")
     y = _parse_element(ns.y, "--y")
     if x.n != y.n:
@@ -198,7 +194,7 @@ def _cmd_algebra_bracket(ns) -> tuple[dict, list[dict]]:
     return {"result": bracket(x, y).to_json()}, []
 
 
-def _cmd_classify_subalgebra(ns) -> tuple[dict, list[dict]]:
+def _cmd_classify_subalgebra(ns) -> tuple[dict, list[Certificate]]:
     basis = _parse_basis(ns.basis, "--basis")
     try:
         form = classify_subalgebra(basis)
@@ -209,7 +205,7 @@ def _cmd_classify_subalgebra(ns) -> tuple[dict, list[dict]]:
     return {"commutative": False, "index": form.index, "t1": form.offset.to_json()}, []
 
 
-def _cmd_core_ideal(ns) -> tuple[dict, list[dict]]:
+def _cmd_core_ideal(ns) -> tuple[dict, list[Certificate]]:
     basis = _parse_basis(ns.basis, "--basis")
     try:
         ideal = core_ideal(basis)
@@ -218,10 +214,10 @@ def _cmd_core_ideal(ns) -> tuple[dict, list[dict]]:
     return {"basis": ideal.to_json(), "dimension": ideal.dimension}, []
 
 
-def _cmd_inn_check(ns) -> tuple[dict, list[dict]]:
+def _cmd_inn_check(ns) -> tuple[dict, list[Certificate]]:
     a = _parse_coords(ns.a, "--a")
     holds = inn_correspondence_check(a)
-    return {"holds": holds}, [{"name": "inn-correspondence", "pass": holds, "witness": None}]
+    return {"holds": holds}, [Certificate("inn-correspondence", holds)]
 
 
 _HANDLERS = {
@@ -303,13 +299,9 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _pretty_summary(verb: str, envelope: dict) -> str:
-    certs = envelope["certificates"]
-    if certs:
-        status = ", ".join(f"{c['name']}={'ok' if c['pass'] else 'FAIL'}" for c in certs)
-    else:
-        status = "ok"
-    return f"{verb}: {status}"
+def _pretty_summary(verb: str, certs: list[Certificate]) -> str:
+    status = ", ".join(f"{c.name}={'ok' if c.passed else 'FAIL'}" for c in certs)
+    return f"{verb}: {status or 'ok'}"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -328,12 +320,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    certs = sorted(certs, key=lambda c: c["name"])
-    envelope = {"command": argv, "result": result, "certificates": certs}
+    certs = sorted(certs, key=lambda c: c.name)
+    envelope = {"command": argv, "result": result, "certificates": [c.to_json() for c in certs]}
     print(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
     if pretty:
-        print(_pretty_summary(ns.verb, envelope), file=sys.stderr)
-    return 0 if all(c["pass"] for c in certs) else 1
+        print(_pretty_summary(ns.verb, certs), file=sys.stderr)
+    return 0 if all(c.passed for c in certs) else 1
 
 
 def entry() -> None:

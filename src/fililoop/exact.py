@@ -19,7 +19,6 @@ in ascending power order.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -27,7 +26,7 @@ from typing import Iterable, Sequence, Union
 
 Coeff = Union[Fraction, "Poly"]
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 class Record:
@@ -93,7 +92,7 @@ class Record:
 
 
 def rational_from_str(text: str) -> Fraction:
-    """Parse the wire form ``"p"`` or ``"p/q"`` (q > 0) into a Fraction."""
+    """Parse the wire form ``"p"`` or ``"p/q"`` (ASCII digits, q > 0) into a Fraction."""
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
     s = text.strip()
@@ -120,13 +119,6 @@ def _coeff(value: object) -> Coeff:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"cannot use {type(value).__name__} as a polynomial coefficient")
-
-
-class PolyKind(str, Enum):
-    ZERO = "zero"
-    CONSTANT = "constant"
-    LINEAR = "linear"
-    NONLINEAR = "nonlinear"
 
 
 class Poly:
@@ -179,17 +171,6 @@ class Poly:
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
         return Fraction(0)
-
-    def classify(self) -> PolyKind:
-        """Zero, nonzero constant, degree-1, or degree >= 2."""
-        d = self.degree
-        if d < 0:
-            return PolyKind.ZERO
-        if d == 0:
-            return PolyKind.CONSTANT
-        if d == 1:
-            return PolyKind.LINEAR
-        return PolyKind.NONLINEAR
 
     def to_strings(self) -> list[str]:
         if any(isinstance(c, Poly) for c in self.coeffs):
@@ -424,10 +405,6 @@ def span_residual(vector: Sequence[Fraction],
         if f:
             res = [a - f * b for a, b in zip(res, row)]
     return tuple(res)
-
-
-def in_row_space(vector: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]) -> bool:
-    return not any(span_residual(vector, basis))
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], n_cols: int) -> tuple[tuple[Fraction, ...], ...]:

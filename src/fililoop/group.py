@@ -54,7 +54,7 @@ from operator import mul
 from typing import Sequence
 
 from .algebra import AlgebraElement
-from .exact import RatMatrix, Record, _integer_scaled, as_fraction, rational_from_str
+from .exact import RatMatrix, Record, _integer_scaled, as_fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -99,12 +99,6 @@ class GroupElement(Record):
 
     def to_json(self) -> dict:
         return {"n": self.n, "c": str(self.c), "a": [str(x) for x in self.a], "b": str(self.b)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> GroupElement:
-        return cls(int(data["n"]), rational_from_str(data["c"]),
-                   tuple(rational_from_str(s) for s in data["a"]),
-                   rational_from_str(data["b"]))
 
 
 def in_H(g: GroupElement) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import Poly, PolyKind, RatMatrix, Record, as_fraction, rational_from_str
+from .exact import Poly, RatMatrix, Record, as_fraction, rational_from_str
 from .group import GroupElement, decompose, gmul
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "SpecError",
     "comm_defect",
     "coset_representative",
-    "is_commutative",
     "ldiv",
     "left_translation",
     "lmul",
@@ -70,10 +69,9 @@ class LoopSpec(Record):
             if p.coefficient(0) != 0:
                 raise SpecError(f"field 'v[{idx - 1}]': v{idx}(0) = {p.coefficient(0)}, "
                                 "loop identity requires 0")
-            kind = p.classify()
-            if kind in (PolyKind.ZERO, PolyKind.CONSTANT):
+            if p.degree < 1:
                 reasons.append(f"v{idx} must be non-constant")
-            elif idx == self.n and kind is PolyKind.LINEAR:
+            elif idx == self.n and p.degree == 1:
                 reasons.append(f"v{idx} must be non-linear")
         object.__setattr__(self, "v", polys)
         object.__setattr__(self, "proper_reasons", tuple(reasons))
@@ -241,7 +239,3 @@ def comm_defect(spec: LoopSpec) -> Poly:
     """
     t = twist_table(spec)
     return Poly(Poly(a - b for a, b in zip(row, column)) for row, column in zip(t, zip(*t)))
-
-
-def is_commutative(spec: LoopSpec) -> bool:
-    return comm_defect(spec).is_zero

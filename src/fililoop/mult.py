@@ -51,7 +51,6 @@ __all__ = [
     "SampleGrid",
     "TransversalSpec",
     "check_h_connected",
-    "companion_residual",
     "generated_subalgebra_of",
     "grid_points",
     "h_connected_transversal",
@@ -74,23 +73,6 @@ class CompanionSolution(Record):
 
     def to_json(self) -> list:
         return [p.to_strings() for p in self.s]
-
-
-def companion_residual(spec: LoopSpec, s: Sequence[Poly]) -> Poly:
-    """Left minus right side of the companion identity, as a nested polynomial.
-
-    Outer variable x, inner variable u; the candidate s solves the identity
-    iff the residual is the zero polynomial.  The left side's x^k row is
-    (-1)^k (s_k + v_k) for 1 <= k <= n, and the right side's x^i row is
-    row i of the twist table.
-    """
-    if len(s) != spec.n:
-        raise ValueError(f"expected {spec.n} companion polynomials")
-    table = twist_table(spec)
-    left = [Poly()] + [Fraction((-1) ** k) * (s_k + v_k)
-                       for k, (s_k, v_k) in enumerate(zip(s, spec.v), 1)]
-    left += [Poly()] * (len(table) - len(left))
-    return Poly(row - Poly(t_row) for row, t_row in zip(left, table))
 
 
 def solve_companions(spec: LoopSpec) -> Optional[CompanionSolution]:

@@ -104,7 +104,10 @@ def nested_comm_defect(spec: LoopSpec) -> Poly:
 
 
 def nested_companion_residual(spec: LoopSpec, s) -> Poly:
-    """companion_residual built from nested two-variable products (outer x, inner u)."""
+    """Left minus right side of the companion identity
+    sum_k (-1)^k x^k (s_k(u) + v_k(u)) = sum_j (-1)^j u^j v_j(x), built from
+    nested two-variable products (outer x, inner u); s solves it iff the
+    result is the zero polynomial."""
     left = Poly()
     right = Poly()
     for k in range(1, spec.n + 1):

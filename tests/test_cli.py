@@ -247,6 +247,18 @@ def test_bad_arguments_exit_2(capsys):
     assert run_cli(capsys)[0] == 2
 
 
+def test_non_ascii_digits_exit_2(tmp_path, capsys):
+    # Unicode decimal digits are not wire digits, wherever they sit
+    bad = tmp_path / "arabic_indic.json"
+    bad.write_text(json.dumps({"n": 1, "v": [["0", "0", "\u0662"]]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert (code, out) == (2, "") and "field 'v[0][2]'" in err
+    for value in ("\u0663,0", "\uff13,0", "1/1\u0663,0"):
+        code, out, err = run_cli(capsys, "mul", spec_path("f3_square.json"), "--a", value,
+                                 "--b", "1,0")
+        assert (code, out) == (2, "") and err.startswith("error: --a")
+
+
 @pytest.mark.parametrize("option, middle, trailing", [
     ("--a", ("inn-check", "--a", "1,,2"), ("inn-check", "--a", "1,2,")),
     ("--b", ("mul", "f3_square.json", "--a", "1,0", "--b", "1,,0"),

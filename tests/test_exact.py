@@ -7,9 +7,7 @@ import pytest
 
 from fililoop.exact import (
     Poly,
-    PolyKind,
     RatMatrix,
-    in_row_space,
     _rref_inplace,
     nullspace,
     rational_from_str,
@@ -39,7 +37,8 @@ def test_rational_to_str_reduces():
     assert LoopPoint(Fraction(4, 2), Fraction(-6, 4)).to_json() == {"u": "2", "z": "-3/2"}
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1/0", "1/-2", "a", "", "1/2/3", "0x3"])
+@pytest.mark.parametrize("bad", ["1.5", "1/0", "1/-2", "a", "", "1/2/3", "0x3",
+                                 "\u0663", "\uff11", "1/1\u0663", "-\u0662/3"])
 def test_rational_rejects_non_wire_forms(bad):
     with pytest.raises(ValueError):
         rational_from_str(bad)
@@ -105,13 +104,6 @@ def test_poly_eval_matches_the_naive_sum():
         for bad in (0.0, 1.5, True, False):
             with pytest.raises(TypeError):
                 p(bad)
-
-
-def test_poly_classify():
-    assert Poly([0, 3]).classify() is PolyKind.LINEAR
-    assert Poly([0, 0, 1]).classify() is PolyKind.NONLINEAR
-    assert Poly().classify() is PolyKind.ZERO
-    assert Poly([5]).classify() is PolyKind.CONSTANT
 
 
 def test_poly_trims_trailing_zeros():
@@ -184,7 +176,7 @@ def test_row_space_basis_idempotent():
         basis = row_space_basis(vectors)
         assert row_space_basis(basis) == basis
         for v in vectors:
-            assert in_row_space(v, basis)
+            assert not any(span_residual(v, basis))
 
 
 def test_nullspace_of_full_rank_is_trivial():

@@ -476,7 +476,11 @@ def test_group_element_rejects_float_and_bool(args):
 
 def test_group_element_json_round_trip():
     g = GroupElement(2, F(1, 2), (F(-3), F(5, 7)), F(0))
-    assert GroupElement.from_json(g.to_json()) == g
+    wire = g.to_json()
+    assert wire == {"n": 2, "c": "1/2", "a": ["-3", "5/7"], "b": "0"}
+    parsed = GroupElement(wire["n"], Fraction(wire["c"]), tuple(map(Fraction, wire["a"])),
+                          Fraction(wire["b"]))
+    assert parsed == g
 
 
 def test_gmul_dimension_mismatch():

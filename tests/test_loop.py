@@ -16,7 +16,6 @@ from fililoop.loop import (
     SpecError,
     comm_defect,
     coset_representative,
-    is_commutative,
     ldiv,
     left_translation,
     lmul,
@@ -60,6 +59,44 @@ def test_validate_examples():
 
     with pytest.raises(SpecError, match=r"v\[0\]"):
         LoopSpec(1, (Poly([1, 0, 1]),))
+
+
+def test_proper_reasons_follow_the_degree_rule():
+    # 360 seeded specs, n 1..6; each v_i is zero, constant, linear or of degree
+    # 2..5, given with trailing zero coefficients; the expected reasons come
+    # from the raw coefficient lists, not from Poly
+    rng = random.Random(59)
+    seen = {"improper": 0, "proper": 0, "linear last": 0, "identity": 0}
+    for i in range(360):
+        n = 1 + i % 6
+        raw = []
+        for _ in range(n):
+            kind = rng.choice(("zero", "constant", "linear", "higher", "higher"))
+            top = {"zero": 0, "constant": 0, "linear": 1, "higher": rng.randint(2, 5)}[kind]
+            coeffs = [F(0)] + [rand_fraction(rng) for _ in range(top)] + [F(0)] * rng.randint(0, 2)
+            if top:
+                coeffs[top] = coeffs[top] or F(1)
+            if kind == "constant" and rng.random() < 0.2:
+                coeffs[0] = rand_fraction(rng, 1, 9)
+            raw.append(coeffs)
+        bad = [k for k, c in enumerate(raw) if c[0]]
+        if bad:
+            with pytest.raises(SpecError, match=rf"field 'v\[{bad[0]}\]'"):
+                LoopSpec(n, tuple(Poly(c) for c in raw))
+            seen["identity"] += 1
+            continue
+        expected = []
+        for idx, c in enumerate(raw, start=1):
+            if not any(c[1:]):
+                expected.append(f"v{idx} must be non-constant")
+            elif idx == n and not any(c[2:]):
+                expected.append(f"v{idx} must be non-linear")
+        spec = LoopSpec(n, tuple(Poly(c) for c in raw))
+        assert spec.proper_reasons == tuple(expected), raw
+        assert spec.proper == (not expected)
+        seen["improper" if expected else "proper"] += 1
+        seen["linear last"] += f"v{n} must be non-linear" in expected
+    assert min(seen.values()) >= 20, seen
 
 
 def test_spec_construction_rejects_identity_violation():
@@ -281,7 +318,7 @@ def test_comm_matrix_construction():
     spec = spec_from_comm_matrix(cm)
     assert spec.v[0] == Poly([0, 0, 1])
     assert spec.v[1] == Poly([0, -1, 1])
-    assert is_commutative(spec)
+    assert comm_defect(spec).is_zero
 
 
 def test_comm_matrix_zero_and_scalar():

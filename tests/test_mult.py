@@ -71,24 +71,43 @@ def test_solve_companions_verified_by_substitution():
 def test_companion_residual_detects_wrong_candidates():
     spec = LoopSpec(2, (Poly([0, 0, 1]), Poly([0, -1, 1])))
     assert not nested_companion_residual(spec, (Poly([0, 1]), Poly())).is_zero
+
+
+def table_companion_residual(spec, s):
+    """The companion residual read off the twist table: the x^k row is
+    (-1)^k (s_k + v_k) for 1 <= k <= n, minus row k of twist_table."""
+    table = twist_table(spec)
+    left = [Poly()] + [Fraction((-1) ** k) * (s_k + v_k)
+                       for k, (s_k, v_k) in enumerate(zip(s, spec.v), 1)]
+    left += [Poly()] * (len(table) - len(left))
+    return Poly(row - Poly(t_row) for row, t_row in zip(left, table))
+
+
+def test_companion_residual_matches_the_nested_product_oracle():
     # 320 seeded specs (n 1..6, degree <= 8, random, above degree n,
-    # signed-symmetric, perturbed): the solution moved in one s_k, and random
-    # polynomials of degree up to 9, leave a nonzero residual
+    # signed-symmetric, perturbed); the candidates are the solution when one
+    # exists, that solution with one s_k moved, zero polynomials and random
+    # polynomials of degree up to 9; the moved and random ones never solve
     rng = random.Random(101)
     wrong = 0
     for spec in twist_specs(101):
         n = spec.n
-        candidates = [tuple(rand_poly(rng, rng.randint(0, 9)) for _ in range(n))]
         solution = solve_companions(spec)
+        off = [tuple(rand_poly(rng, rng.randint(0, 9)) for _ in range(n))]
+        candidates = [(Poly(),) * n]
         if solution is not None:
             k = rng.randrange(n)
             moved = list(solution.s)
             moved[k] = moved[k] + rand_poly(rng, rng.randint(0, 9))
-            candidates.append(tuple(moved))
-        for s in candidates:
-            assert not nested_companion_residual(spec, s).is_zero
-            wrong += 1
-    assert wrong > 400
+            off.append(tuple(moved))
+            candidates.append(solution.s)
+        for s in candidates + off:
+            residual = nested_companion_residual(spec, s)
+            assert residual == table_companion_residual(spec, s)
+            assert all(type(c) is Poly if c else type(c) is Fraction for c in residual.coeffs)
+            assert s not in off or not residual.is_zero
+            wrong += not residual.is_zero
+    assert wrong > 600
 
 
 def test_solve_companions_random_specs_verify():

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = Path(__file__).resolve().parent / "cli_golden.jsonl"
 
 SPECS = ["f3_square", "f3_linear", "f3_cubic_mix", "f4_commutative", "f4_mixed"]
-N1_SPECS = ["f3_square", "f3_linear", "f3_cubic_mix"]
+N1_SPECS = ["f3_square", "f3_linear", "f3_cubic_mix", "f3_octic"]
 
 
 def golden_argvs() -> list[list[str]]:
@@ -42,8 +42,22 @@ def golden_argvs() -> list[list[str]]:
         ["classify-subalgebra", "--basis", "1,0,0,0;0,0,1,0;0,0,0,1"],
         ["core-ideal", "--basis", "0,1,0;0,0,1"],
         ["inn-check", "--a", "1,2"],
+        # the sizes the benchmark runs: the m = 8 stabilizer span{e_2..e_9} and a
+        # tail span{e_5..e_10} in dimension 10, and dense fractional input at n = 6
+        ["core-ideal", "--basis", unit_rows(10, range(2, 10))],
+        ["core-ideal", "--basis", unit_rows(10, range(5, 11))],
+        ["algebra-bracket", "--x", "1/2,-3,2/3,0,5/4,-1/7,2,-9/5",
+         "--y", "-2/3,1/5,4,-3/2,1,0,7/3,1/6"],
+        ["classify-subalgebra", "--basis",
+         "1,1/2,-2/3,3/4,5/7,-1/3,2/5,7/4;0,0,0,0,3/2,-1/2,4/3,-5/6;"
+         "0,0,0,0,0,2/3,-1,1/4;0,0,0,0,1,1,1,1;0,0,0,0,-1/2,0,3,2/7"],
     ]
     return out
+
+
+def unit_rows(size: int, indices) -> str:
+    """The --basis text of the unit vectors e_i, i in indices, of length size."""
+    return ";".join(",".join(str(int(j == i)) for j in range(1, size + 1)) for i in indices)
 
 
 def run(argv: list[str]) -> dict:

@@ -22,6 +22,7 @@ from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .exact import (
+    _ZERO,
     RatMatrix,
     Record,
     as_fraction,
@@ -40,7 +41,7 @@ class AlgebraElement(Record):
 
     ``coeffs[i-1]`` is the e_i coefficient.  Coefficients go through
     exact.as_fraction: Fraction objects are kept, floats and bools raise
-    TypeError.
+    TypeError.  ``+``, ``-`` and scalar ``*`` pass zero coefficients through.
     """
 
     n: int
@@ -60,11 +61,13 @@ class AlgebraElement(Record):
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         _same_n(self, other)
-        return AlgebraElement(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return AlgebraElement(self.n, tuple(a + b if a and b else a or b
+                                            for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: AlgebraElement) -> AlgebraElement:
         _same_n(self, other)
-        return AlgebraElement(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return AlgebraElement(self.n, tuple(a - b if b else a
+                                            for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> AlgebraElement:
         return AlgebraElement(self.n, tuple(-c for c in self.coeffs))
@@ -73,7 +76,7 @@ class AlgebraElement(Record):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         f = as_fraction(scalar)
-        return AlgebraElement(self.n, tuple(f * c for c in self.coeffs))
+        return AlgebraElement(self.n, tuple(f * c if c else c for c in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -99,16 +102,21 @@ def basis_element(n: int, i: int) -> AlgebraElement:
 
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Lie bracket [x, y]; zero at once when neither has an e_1 component,
-    because span{e_2, ..., e_{n+2}} is abelian."""
+    because span{e_2, ..., e_{n+2}} is abelian.  A product x_1 y_i or y_1 x_i
+    is formed only when both factors are nonzero."""
     _same_n(x, y)
     n = x.n
-    if not x.coeffs[0] and not y.coeffs[0]:
+    x1, y1 = x.coeffs[0], y.coeffs[0]
+    if not x1 and not y1:
         return zero_element(n)
-    out = [Fraction(0)] * (n + 2)
-    for i in range(2, n + 2):
-        w = x.coeffs[0] * y.coeffs[i - 1] - y.coeffs[0] * x.coeffs[i - 1]
+    out = [_ZERO] * (n + 2)
+    for i in range(1, n + 1):
+        xi, yi = x.coeffs[i], y.coeffs[i]
+        w = x1 * yi if x1 and yi else _ZERO
+        if y1 and xi:
+            w = w - y1 * xi if w else -(y1 * xi)
         if w:
-            out[i] += (n + 2 - i) * w
+            out[i + 1] = (n + 1 - i) * w
     return AlgebraElement(n, tuple(out))
 
 

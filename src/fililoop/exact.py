@@ -26,6 +26,7 @@ from typing import Iterable, Sequence, Union
 
 Coeff = Union[Fraction, "Poly"]
 
+_ZERO = Fraction(0)
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
@@ -92,10 +93,11 @@ class Record:
 
 
 def rational_from_str(text: str) -> Fraction:
-    """Parse the wire form ``"p"`` or ``"p/q"`` (ASCII digits, q > 0) into a Fraction."""
+    """Parse the wire form ``"p"`` or ``"p/q"`` (ASCII digits, q > 0) into a
+    Fraction; only ASCII whitespace around it is ignored."""
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
-    s = text.strip()
+    s = text.strip(" \t\n\r\f\v")
     if not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"not a rational string (expected 'p' or 'p/q'): {text!r}")
     return Fraction(s)
@@ -255,6 +257,9 @@ class Poly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
+        """A constant hashes as its value, as it compares equal to it."""
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else _ZERO)
         return hash(("Poly", self.coeffs))
 
     def __repr__(self) -> str:
@@ -264,9 +269,6 @@ class Poly:
 # ---------------------------------------------------------------------------
 # Matrices and linear algebra over Q
 # ---------------------------------------------------------------------------
-
-
-_ZERO = Fraction(0)
 
 
 class RatMatrix(Record):
@@ -397,13 +399,16 @@ def row_space_basis(vectors: Iterable[Sequence[Fraction]]) -> tuple[tuple[Fracti
 
 def span_residual(vector: Sequence[Fraction],
                   basis: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-    """Residual of a vector after elimination against an RREF basis."""
+    """Residual of a vector after elimination against an RREF basis; each
+    row updates only the coordinates where it is nonzero."""
     res = [as_fraction(e) for e in vector]
     for row in basis:
         pivot = next(i for i, e in enumerate(row) if e)
         f = res[pivot]
         if f:
-            res = [a - f * b for a, b in zip(res, row)]
+            for i in range(pivot, len(row)):
+                if row[i]:
+                    res[i] -= f * row[i]
     return tuple(res)
 
 

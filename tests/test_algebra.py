@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fililoop.exact import RatMatrix
+from fililoop.exact import RatMatrix, row_space_basis, span_residual
 from fililoop.algebra import (
     AlgebraElement,
     LinearMap,
@@ -362,6 +362,89 @@ def test_core_ideal_matches_the_ideal_lattice():
         assert core_ideal(h) == core
         kinds.add("zero" if not core.dimension else "h" if core == h else "tail")
     assert kinds == {"zero", "h", "tail"}
+
+
+# -- the zero-skipping kernels against dense oracles -----------------------------
+#
+# bracket, span_residual and AlgebraElement's +, - and scalar * skip zero
+# coefficients; the oracles below touch every coefficient.
+
+def table_bracket(x, y):
+    """[x, y] = sum over all i, j of x_i y_j [e_i, e_j], read off the table
+    [e_1, e_i] = (n+2-i) e_{i+1} = -[e_i, e_1] for 2 <= i <= n+1."""
+    n = x.n
+    out = [Fraction(0)] * (n + 2)
+    for i in range(1, n + 3):
+        for j in range(1, n + 3):
+            product = x.coeffs[i - 1] * y.coeffs[j - 1]
+            if i == 1 and 2 <= j <= n + 1:
+                out[j] += (n + 2 - j) * product
+            elif j == 1 and 2 <= i <= n + 1:
+                out[i] -= (n + 2 - i) * product
+    return tuple(out)
+
+
+def dense_residual(vector, basis):
+    """Eliminate the pivot coordinate of each RREF row from every coordinate."""
+    res = list(vector)
+    for row in basis:
+        f = res[next(i for i, b in enumerate(row) if b)]
+        res = [a - f * b for a, b in zip(res, row)]
+    return tuple(res)
+
+
+def mixed_element(rng, n):
+    """A dense, sparse, unit, scaled unit or zero element."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rand_algebra_element(rng, n)
+    if kind == 1:
+        return sparse_algebra_element(rng, n)
+    if kind == 2:
+        return e(n, rng.randint(1, n + 2))
+    if kind == 3:
+        return rand_fraction(rng) * e(n, rng.randint(1, n + 2))
+    return zero_element(n)
+
+
+def all_fractions(coeffs):
+    return all(type(c) is Fraction for c in coeffs)
+
+
+def test_kernels_match_dense_oracles():
+    rng = random.Random(1616)
+    seen = set()
+    for case in range(600):
+        n = 1 + case % 10
+        x, y = mixed_element(rng, n), mixed_element(rng, n)
+        s = rng.choice([Fraction(0), 0, rng.randint(-3, 3), rand_fraction(rng)])
+        results = {
+            "bracket": (bracket(x, y).coeffs, table_bracket(x, y)),
+            "+": ((x + y).coeffs, tuple(a + b for a, b in zip(x.coeffs, y.coeffs))),
+            "-": ((x - y).coeffs, tuple(a - b for a, b in zip(x.coeffs, y.coeffs))),
+            "s*": ((s * x).coeffs, tuple(Fraction(s) * a for a in x.coeffs)),
+            "*s": ((x * s).coeffs, tuple(a * Fraction(s) for a in x.coeffs)),
+        }
+        rows = row_space_basis([mixed_element(rng, n).coeffs for _ in range(rng.randint(0, n + 2))])
+        v = mixed_element(rng, n).coeffs
+        results["span_residual"] = (span_residual(v, rows), dense_residual(v, rows))
+        for name, (got, expected) in results.items():
+            assert got == expected, (name, x, y, s)
+            assert len(got) == n + 2 and all_fractions(got), name
+        res = results["span_residual"][0]
+        assert not any(res[next(i for i, b in enumerate(r) if b)] for r in rows)
+        seen.add((not s, bool(rows), not any(table_bracket(x, y))))
+    assert len(seen) == 8
+
+
+def test_core_of_the_stabilizer_and_of_inn_subalgebras_is_zero():
+    rng = random.Random(1617)
+    for m in range(1, 11):
+        stabilizer = SubalgebraBasis.span(m, [e(m, i) for i in range(2, m + 2)])
+        a = tuple(rng.choice([Fraction(0), rand_fraction(rng)]) for _ in range(m))
+        for h in (stabilizer, inn_subalgebra(a)):
+            core = core_ideal(h)
+            assert core.dimension == 0 and core == core_oracle(h)
 
 
 # -- inn subalgebra and the straightening automorphism ----------------------------

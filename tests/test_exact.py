@@ -38,10 +38,16 @@ def test_rational_to_str_reduces():
 
 
 @pytest.mark.parametrize("bad", ["1.5", "1/0", "1/-2", "a", "", "1/2/3", "0x3",
-                                 "\u0663", "\uff11", "1/1\u0663", "-\u0662/3"])
+                                 "\u0663", "\uff11", "1/1\u0663", "-\u0662/3",
+                                 "1\xa0", "\u20031", "\u3000-2/3"])
 def test_rational_rejects_non_wire_forms(bad):
     with pytest.raises(ValueError):
         rational_from_str(bad)
+
+
+def test_rational_ignores_ascii_whitespace_only():
+    assert rational_from_str(" 1") == 1
+    assert rational_from_str("\t3/4\n") == F(3, 4)
 
 
 def test_rational_field_axioms():
@@ -137,6 +143,30 @@ def test_poly_equality_with_bool_answers_instead_of_raising():
             assert (p != b) is True and (b != p) is True
     assert Poly([1]) == 1 and Poly() == 0 and Poly([F(1, 2)]) == F(1, 2)
     assert (Poly([1]) == 1.0) is False
+
+
+def test_equal_polys_and_scalars_hash_alike():
+    rng = random.Random(29)
+
+    def draw():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.choice([0, 1, -2, F(0), rand_fraction(rng)])
+        if kind == 1:
+            return Poly([rand_fraction(rng, -2, 2, 2) for _ in range(rng.randint(0, 2))])
+        if kind == 2:
+            return Poly([Poly([rand_fraction(rng, -2, 2, 2)]) for _ in range(rng.randint(0, 2))])
+        return Poly.const(rng.choice([0, 1, -2, F(1, 2)]))
+
+    values = [draw() for _ in range(400)]
+    equal_pairs = 0
+    for a in values:
+        for b in values[:60]:
+            if (isinstance(a, Poly) or isinstance(b, Poly)) and a == b:
+                assert hash(a) == hash(b), (a, b)
+                equal_pairs += 1
+    assert equal_pairs > 1000
+    assert len({Poly([2]), 2, F(2), Poly([Poly([2])])}) == 1 and hash(Poly()) == hash(0)
 
 
 def test_poly_strings_round_trip():

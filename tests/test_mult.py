@@ -7,8 +7,8 @@ import pytest
 
 from fililoop import mult
 from fililoop.exact import Poly, RatMatrix
-from fililoop.algebra import basis_element
-from fililoop.group import GroupElement, commutator, in_H
+from fililoop.algebra import SubalgebraBasis, basis_element, core_ideal
+from fililoop.group import GroupElement, commutator, glog, in_H
 from fililoop.loop import CommMatrix, LoopSpec, SpecError, spec_from_comm_matrix, twist_table
 from fililoop.mult import (
     DEFAULT_GRID,
@@ -396,6 +396,26 @@ def test_pipeline_random_nonlinear_polys():
         report = mult_group_report(Poly(coeffs))
         assert report.all_pass
         assert report.mult_dimension == m + 2
+
+
+def test_core_trivial_checks_the_lie_algebra_of_the_stabilizer(monkeypatch):
+    # The stabilizer of the identity coset is H = {c = 0, b = 0}; its Lie
+    # algebra is the log-image of the one-parameter subgroups through the unit
+    # a-vectors, built here from the group law and not from basis_element.
+    seen = []
+
+    def recording_core_ideal(h):
+        seen.append(h)
+        return core_ideal(h)
+
+    monkeypatch.setattr(mult, "core_ideal", recording_core_ideal)
+    rng = random.Random(113)
+    for m in range(2, 9):
+        seen.clear()
+        assert mult_group_report(rand_poly(rng, m, zero_constant=True)).all_pass
+        units = [tuple(F(int(j == k)) for j in range(1, m + 1)) for k in range(1, m + 1)]
+        lie_h = SubalgebraBasis.span(m, [glog(GroupElement(m, 0, unit, 0)) for unit in units])
+        assert seen == [lie_h] and lie_h.dimension == m
 
 
 def test_degenerate_transversal_fails_generation():

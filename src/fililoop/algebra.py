@@ -26,6 +26,7 @@ from .exact import (
     RatMatrix,
     Record,
     as_fraction,
+    check_dimension,
     nullspace,
     row_space_basis,
     span_residual,
@@ -48,8 +49,7 @@ class AlgebraElement(Record):
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        check_dimension("n", self.n)
         coeffs = tuple(map(as_fraction, self.coeffs))
         if len(coeffs) != self.n + 2:
             raise ValueError(f"expected {self.n + 2} coefficients, got {len(coeffs)}")

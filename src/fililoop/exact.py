@@ -113,6 +113,14 @@ def as_fraction(value: object) -> Fraction:
     return Fraction(value)
 
 
+def check_dimension(name: str, value: object) -> None:
+    """A dimension is an int >= 1: TypeError for a bool, float or other non-int."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 def _coeff(value: object) -> Coeff:
     if isinstance(value, Poly):
         return Fraction(0) if value.is_zero else value

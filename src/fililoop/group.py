@@ -11,10 +11,10 @@ so g^(-1) = (-c, -f(t + c)) and the commutator g1^(-1) g2^(-1) g1 g2 is
     (0, f1(t - c2) - f1(t) - f2(t - c1) + f2(t)).
 
 gmul, ginv and commutator compute these through one helper, an integer
-Taylor shift of a alone (b cancels in f(t - s) - f(t)) bounded by deg f that
-gives the difference as integer pairs; commutator combines its two in
-integers, one Fraction per coefficient.  Each result is built once, with no
-second pass over fields that are exact Fractions already.
+Taylor shift of a alone (b cancels in f(t - s) - f(t)) bounded by deg f, in
+closed form at degree 1.  It gives the difference as one integer scale, the
+denominator of s and integer numerators, and each caller builds one Fraction
+per coefficient that the shift moves, with no second pass over its fields.
 
 to_matrix is the unipotent (n+2) x (n+2) realization: row 0 is
 (1, a_1, ..., a_n, b), row k for 1 <= k <= n has 1 on the diagonal, band
@@ -49,12 +49,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb
-from operator import mul
+from itertools import count, zip_longest
+from math import comb, lcm
+from operator import add, mul, neg, sub
 from typing import Sequence
 
 from .algebra import AlgebraElement
-from .exact import RatMatrix, Record, _integer_scaled, as_fraction
+from .exact import RatMatrix, Record, _integer_scaled, as_fraction, check_dimension
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -77,8 +78,7 @@ class GroupElement(Record):
     b: Fraction
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        check_dimension("n", self.n)
         a = tuple(map(as_fraction, self.a))
         if len(a) != self.n:
             raise ValueError(f"expected {self.n} middle parameters, got {len(a)}")
@@ -152,59 +152,80 @@ def from_matrix(m: RatMatrix) -> GroupElement:
     return candidate
 
 
-def _shift_pairs(a: Sequence[Fraction], s: Fraction) -> list[tuple[int, int]]:
-    """The t^0..t^n coefficients of f(t - s) - f(t), f = b + sum_k a_k t^k, as integer
-    (numerator, denominator) pairs; b cancels, so only a = (a_1, ..., a_n) is read.
+def _shift(a: Sequence[Fraction], s: Fraction) -> tuple[int, int, list[int]]:
+    """f(t - s) - f(t) for f = b + sum_k a_k t^k as (V, q, x): V > 0, q the denominator
+    of s, and the t^j coefficient x_j q^j / V for j < len(x), 0 above (b cancels).
 
-    An integer Taylor shift (von zur Gathen & Gerhard 1997) bounded by the
-    degree d of f, a with its trailing zeros stripped.  With s = p/q in lowest
-    terms, F = D a integral for the lcm D of the denominators of a_1..a_d and
-    H(u) = sum_{k>=1} F_k q^(d-k) u^k, the loop h_j -= p h_(j+1) shifts H(u) to
-    H(u - p) = D q^d (f(t - s) - b) at u = q t, so t^j gets (h_j - H_j, D q^(d-j));
-    above d, for s = 0 and for a = 0, (0, 1).
+    d is the degree of f.  At d = 1 the difference is -a_1 s.  Above, an integer
+    Taylor shift (von zur Gathen & Gerhard 1997): with s = p/q, F = D a integral for
+    the lcm D of the denominators of a_1..a_d and H(u) = sum_{k>=1} F_k q^(d-k) u^k,
+    the loop h_j -= p h_(j+1) shifts H(u) to H(u - p) = D q^d (f(t - s) - b) at
+    u = q t, so V = D q^d and x_j = h_j - H_j for j < d.
     """
-    n = d = len(a)
+    d = len(a)
     while d and not a[d - 1]:
         d -= 1
     if not d or not s:
-        return [(0, 1)] * (n + 1)
-    p, q = s.numerator, s.denominator
-    den, ints = _integer_scaled(a[:d])
-    q_pow = [q ** (d - k) for k in range(d + 1)]
-    start = [0, *map(mul, ints, q_pow[1:])]
+        return 1, 1, []
+    p, q = s.as_integer_ratio()
+    if d == 1:
+        num, den = a[0].as_integer_ratio()
+        return den * q, q, [-num * p]
+    nums, dens = zip(*map(Fraction.as_integer_ratio, a[:d]))
+    den = lcm(*dens)
+    start = [0, *(num * (den // m) * q ** (d - k) for k, num, m in zip(count(1), nums, dens))]
     h = start[:]
     for i in range(d):
+        acc = h[d]
         for j in range(d - 1, i - 1, -1):
-            h[j] -= p * h[j + 1]
-    return [(x - x0, den * qk) for x, x0, qk in zip(h, start, q_pow)] + [(0, 1)] * (n - d)
+            acc = h[j] = h[j] - p * acc
+    return den * q ** d, q, list(map(sub, h[:d], start))
+
+
+def _plus_shift(f: list[Fraction], a: Sequence[Fraction], s: Fraction) -> list[Fraction]:
+    """f + (g(t - s) - g(t)) for g = sum_k a_k t^k, f as its t^0..t^n coefficients,
+    one Fraction per coefficient the shift moves."""
+    v, q, xs = _shift(a, s)
+    for j, x in enumerate(xs):
+        if x:
+            num, den = f[j].as_integer_ratio()
+            f[j] = Fraction(num * v + x * den, den * v)
+        v //= q
+    return f
 
 
 def gmul(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Group product in closed form: (c1 + c2, f1 + f2 + (f1(t - c2) - f1(t)))."""
     _same_n(g1, g2)
-    f = [x + y + Fraction(num, v) if num else x + y
-         for x, y, (num, v) in zip((g1.b, *g1.a), (g2.b, *g2.a), _shift_pairs(g1.a, g2.c))]
+    f = _plus_shift(list(map(add, (g1.b, *g1.a), (g2.b, *g2.a))), g1.a, g2.c)
     return GroupElement._exact(g1.n, g1.c + g2.c, tuple(f[1:]), f[0])
 
 
 def ginv(g: GroupElement) -> GroupElement:
     """Group inverse in closed form: g^(-1) = (-c, -f(t + c)), f = b + sum_k a_k t^k."""
-    inv = [-(x + Fraction(num, v)) if num else -x
-           for x, (num, v) in zip((g.b, *g.a), _shift_pairs(g.a, -g.c))]
+    inv = list(map(neg, _plus_shift([g.b, *g.a], g.a, -g.c)))
     return GroupElement._exact(g.n, -g.c, tuple(inv[1:]), inv[0])
 
 
 def commutator(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """g1^(-1) g2^(-1) g1 g2 in closed form, one Fraction per coefficient.
+    """g1^(-1) g2^(-1) g1 g2 in closed form, one Fraction per nonzero coefficient.
 
     With g_i = (c_i, f_i) the shift law gives
-    (0, (f1(t - c2) - f1(t)) - (f2(t - c1) - f2(t))): c is 0 and no b enters.  The
-    two differences come from degree-bounded shifts as integer pairs x_j / v_j
-    and y_j / w_j, and t^j gets the one Fraction (x_j w_j - y_j v_j) / (v_j w_j).
+    (0, (f1(t - c2) - f1(t)) - (f2(t - c1) - f2(t))): c is 0 and no b enters.  With
+    the two differences x_j / v and y_j / w (v = V / q^j, w = W / r^j from _shift),
+    t^j gets (x_j w - y_j v) / (v w), or x_j / v or -y_j / w where the other is 0.
     """
     _same_n(g1, g2)
-    pairs = zip(_shift_pairs(g1.a, g2.c), _shift_pairs(g2.a, g1.c))
-    d = [Fraction(num, v * w) if (num := x * w - y * v) else _ZERO for (x, v), (y, w) in pairs]
+    v, q, xs = _shift(g1.a, g2.c)
+    w, r, ys = _shift(g2.a, g1.c)
+    d = [_ZERO] * (g1.n + 1)
+    for j, (x, y) in enumerate(zip_longest(xs, ys, fillvalue=0)):
+        if x and y:
+            d[j] = Fraction(num, v * w) if (num := x * w - y * v) else _ZERO
+        elif x or y:
+            d[j] = Fraction(x, v) if x else Fraction(-y, w)
+        v //= q
+        w //= r
     return GroupElement._exact(g1.n, _ZERO, tuple(d[1:]), d[0])
 
 

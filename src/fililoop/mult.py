@@ -37,7 +37,7 @@ from .algebra import (
     phi_automorphism,
     subalgebra_closure,
 )
-from .exact import Poly, Record, as_fraction
+from .exact import Poly, Record, as_fraction, check_dimension
 from .group import GroupElement, commutator, from_matrix, ginv, glog, gmul, in_H, to_matrix
 from .loop import LoopSpec, twist_table
 
@@ -102,8 +102,7 @@ class TransversalSpec(Record):
     a: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        check_dimension("m", self.m)
         vals = tuple(map(as_fraction, self.a))
         if len(vals) != self.m:
             raise ValueError(f"expected {self.m} coefficients, got {len(vals)}")
@@ -120,8 +119,7 @@ class LeftTranslationFamily(Record):
     v1: Poly
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        check_dimension("m", self.m)
         if self.m < self.v1.degree:
             raise ValueError("ambient dimension is smaller than the polynomial degree")
 

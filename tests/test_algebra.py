@@ -531,6 +531,9 @@ def test_algebra_element_keeps_fractions_and_rejects_float_and_bool():
     for coeffs in ((0.1, 0, 0), (0, True, 0)):
         with pytest.raises(TypeError):
             AlgebraElement(1, coeffs)
+    for n in (True, 1.0, Fraction(1)):
+        with pytest.raises(TypeError):
+            AlgebraElement(n, (1, 2, 3))
 
 
 def test_algebra_element_scalar_must_be_exact():

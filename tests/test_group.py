@@ -11,7 +11,7 @@ from fililoop.algebra import AlgebraElement, basis_element, bracket
 from fililoop.group import (
     GroupElement,
     _log_weights,
-    _shift_pairs,
+    _shift,
     commutator,
     decompose,
     from_matrix,
@@ -255,6 +255,10 @@ def test_commutator_is_the_four_product_definition():
                      (F(rng.randint(-9, -1)), F(0)), (F(0), F(0))):
             lam, t = lambda_shaped(rng, n, u), t_shaped(rng, n, x)
             pairs += [(lam, t), (t, lam)]
+        # the degree-1 closed form of the shift on either side, and on both
+        lam = lambda_shaped(rng, n, rand_non_integral(rng))
+        other = rand_shifting_element(rng, n)
+        pairs += [(lam, other), (other, lam), (lam, lambda_shaped(rng, n, rand_non_integral(rng)))]
         for x, y in pairs:
             k = commutator(x, y)
             assert k.c == 0
@@ -373,12 +377,19 @@ def test_bernoulli_table():
 
 
 def shift_difference(f, s):
-    """_shift_pairs of the a-part f[1:] read as Fractions, after checking that the
-    pairs are integers."""
-    pairs = _shift_pairs(f[1:], s)
-    assert len(pairs) == len(f)
-    assert all(type(x) is int and type(v) is int and v > 0 for x, v in pairs)
-    return [F(x, v) for x, v in pairs]
+    """_shift of the a-part f[1:] read as the t^0..t^n Fractions x_j q^j / V, after
+    checking its integer contract: V a positive int divisible by q^j for every
+    j < len(x), q the denominator of s, every x_j an int, and len(x) the degree of
+    f when s is nonzero (t^(d-1) gets -d s a_d, never 0), else 0."""
+    v, q, xs = _shift(f[1:], s)
+    degree = max((k for k, e in enumerate(f) if e), default=0)
+    assert type(v) is int and v > 0 and type(q) is int
+    assert all(type(x) is int for x in xs)
+    assert len(xs) == (degree if s else 0)
+    if xs:
+        assert q == s.denominator and xs[-1] != 0
+        assert all(v % q ** j == 0 for j in range(len(xs)))
+    return [F(x * q ** j, v) for j, x in enumerate(xs)] + [F(0)] * (len(f) - len(xs))
 
 
 def test_shift_difference_matches_the_direct_sum():
@@ -400,7 +411,8 @@ def test_shift_difference_matches_the_direct_sum():
                           for j in range(n + 1)]
                 assert shift_difference(f, s) == direct
                 assert shift_difference(tuple(f), s) == direct
-    assert _shift_pairs([F(2)] + [F(0)] * 9, F(3)) == [(-6, 1)] + [(0, 1)] * 10
+    # f = 2t padded to n = 10, shifted by 3: the constant -6 over V = 1, q = 1
+    assert _shift([F(2)] + [F(0)] * 9, F(3)) == (1, 1, [-6])
 
 
 def test_exp_log_round_trip():
@@ -468,6 +480,11 @@ def test_group_element_keeps_fractions_and_converts_ints():
     (1, True, (0,), 0),
     (1, 0, (False,), 0),
     (1, 0, (0,), True),
+    # the dimension n as well: a bool would reach to_json as true, a float the
+    # list sizes of the group law
+    (True, 1, (2,), 3),
+    (2.0, 1, (2, 3), 3),
+    ("2", 1, (2, 3), 3),
 ])
 def test_group_element_rejects_float_and_bool(args):
     with pytest.raises(TypeError):

@@ -259,6 +259,14 @@ def test_builders_make_fraction_fields_from_int_samples():
         TransversalSpec(0, ())
 
 
+@pytest.mark.parametrize("m", [True, 2.0, Fraction(2)])
+def test_dimension_fields_reject_bool_and_non_int(m):
+    with pytest.raises(TypeError):
+        LeftTranslationFamily(m, SQUARE_POLY)
+    with pytest.raises(TypeError):
+        TransversalSpec(m, (F(1), F(-1)))
+
+
 def test_left_translation_elements_evaluate_v1_once_per_u(monkeypatch):
     # grids that repeat u values with several z values give the per-sample
     # elements g(u, v1(u), 0, ..., 0, -v1(u) u / 2 + z), with one v1 call per u

@@ -41,6 +41,8 @@ def golden_argvs() -> list[list[str]]:
         ["algebra-bracket", "--x", "1,0,0", "--y", "0,1,0"],
         ["classify-subalgebra", "--basis", "1,0,0,0;0,0,1,0;0,0,0,1"],
         ["core-ideal", "--basis", "0,1,0;0,0,1"],
+        # input not in RREF, spanning the same space as the line above
+        ["core-ideal", "--basis", "0,0,1;0,2,0"],
         ["inn-check", "--a", "1,2"],
         # the sizes the benchmark runs: the m = 8 stabilizer span{e_2..e_9} and a
         # tail span{e_5..e_10} in dimension 10, and dense fractional input at n = 6
@@ -51,6 +53,10 @@ def golden_argvs() -> list[list[str]]:
         ["classify-subalgebra", "--basis",
          "1,1/2,-2/3,3/4,5/7,-1/3,2/5,7/4;0,0,0,0,3/2,-1/2,4/3,-5/6;"
          "0,0,0,0,0,2/3,-1,1/4;0,0,0,0,1,1,1,1;0,0,0,0,-1/2,0,3,2/7"],
+        # the same five rows reversed
+        ["classify-subalgebra", "--basis",
+         "0,0,0,0,-1/2,0,3,2/7;0,0,0,0,1,1,1,1;0,0,0,0,0,2/3,-1,1/4;"
+         "0,0,0,0,3/2,-1/2,4/3,-5/6;1,1/2,-2/3,3/4,5/7,-1/3,2/5,7/4"],
     ]
     return out
 

@@ -40,9 +40,10 @@ class NotClosedError(ValueError):
 class AlgebraElement(Record):
     """Element of the algebra, as coefficients over e_1, ..., e_{n+2}.
 
-    ``coeffs[i-1]`` is the e_i coefficient.  Coefficients go through
-    exact.as_fraction: Fraction objects are kept, floats and bools raise
-    TypeError.  ``+``, ``-`` and scalar ``*`` pass zero coefficients through.
+    ``coeffs[i-1]`` is the e_i coefficient.  The constructor passes them
+    through exact.as_fraction (Fraction objects kept, floats and bools raise
+    TypeError); results built from checked values skip it through ``_exact``,
+    as GroupElement's do.  ``+``, ``-`` and scalar ``*`` pass zeros through.
     """
 
     n: int
@@ -55,28 +56,35 @@ class AlgebraElement(Record):
             raise ValueError(f"expected {self.n + 2} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _exact(cls, n: int, coeffs: tuple[Fraction, ...]) -> AlgebraElement:
+        """The element unchecked, for a tuple of n + 2 Fractions with n >= 1."""
+        x = object.__new__(cls)
+        x.__dict__.update(n=n, coeffs=coeffs)
+        return x
+
     @property
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         _same_n(self, other)
-        return AlgebraElement(self.n, tuple(a + b if a and b else a or b
-                                            for a, b in zip(self.coeffs, other.coeffs)))
+        return AlgebraElement._exact(self.n, tuple(a + b if a and b else a or b
+                                                   for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: AlgebraElement) -> AlgebraElement:
         _same_n(self, other)
-        return AlgebraElement(self.n, tuple(a - b if b else a
-                                            for a, b in zip(self.coeffs, other.coeffs)))
+        return AlgebraElement._exact(self.n, tuple(a - b if b else a
+                                                   for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> AlgebraElement:
-        return AlgebraElement(self.n, tuple(-c for c in self.coeffs))
+        return AlgebraElement._exact(self.n, tuple(-c for c in self.coeffs))
 
     def __mul__(self, scalar: object) -> AlgebraElement:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         f = as_fraction(scalar)
-        return AlgebraElement(self.n, tuple(f * c if c else c for c in self.coeffs))
+        return AlgebraElement._exact(self.n, tuple(f * c if c else c for c in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -108,7 +116,7 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     n = x.n
     x1, y1 = x.coeffs[0], y.coeffs[0]
     if not x1 and not y1:
-        return zero_element(n)
+        return AlgebraElement._exact(n, (_ZERO,) * (n + 2))
     out = [_ZERO] * (n + 2)
     for i in range(1, n + 1):
         xi, yi = x.coeffs[i], y.coeffs[i]
@@ -117,7 +125,7 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
             w = w - y1 * xi if w else -(y1 * xi)
         if w:
             out[i + 1] = (n + 1 - i) * w
-    return AlgebraElement(n, tuple(out))
+    return AlgebraElement._exact(n, tuple(out))
 
 
 class SubalgebraBasis(Record):
@@ -134,7 +142,7 @@ class SubalgebraBasis(Record):
         if any(e.n != self.n for e in self.basis):
             raise ValueError("element dimension does not match subalgebra dimension")
         rows = row_space_basis([e.coeffs for e in self.basis]) if self.basis else ()
-        object.__setattr__(self, "basis", tuple(AlgebraElement(self.n, row) for row in rows))
+        object.__setattr__(self, "basis", tuple(AlgebraElement._exact(self.n, row) for row in rows))
 
     @classmethod
     def span(cls, n: int, elements: Iterable[AlgebraElement]) -> SubalgebraBasis:
@@ -202,7 +210,7 @@ def subalgebra_closure(generators: Sequence[AlgebraElement]) -> SubalgebraBasis:
     if not rows or not rows[0][0]:
         return v
     j = next(i for i, x in enumerate(rows[1]) if x) if len(rows) > 1 else n + 2
-    x0 = AlgebraElement(n, rows[0][:j] + (Fraction(0),) * (n + 2 - j))
+    x0 = AlgebraElement._exact(n, rows[0][:j] + (_ZERO,) * (n + 2 - j))
     return SubalgebraBasis(n, (x0, *(basis_element(n, i) for i in range(j + 1, n + 3))))
 
 
@@ -232,7 +240,7 @@ def classify_subalgebra(v: SubalgebraBasis) -> Optional[SubalgebraForm]:
         return None
     first, second = v.coord_rows()[:2]
     index = next(i for i, x in enumerate(second, 1) if x)
-    return SubalgebraForm(v.n, index, AlgebraElement(v.n, (Fraction(0),) + first[1:]))
+    return SubalgebraForm(v.n, index, AlgebraElement._exact(v.n, (_ZERO,) + first[1:]))
 
 
 def core_ideal(h: SubalgebraBasis) -> SubalgebraBasis:
@@ -294,7 +302,7 @@ class LinearMap(Record):
     def apply(self, x: AlgebraElement) -> AlgebraElement:
         if x.n != self.n:
             raise ValueError("element dimension does not match map dimension")
-        return AlgebraElement(self.n, self.matrix.apply(x.coeffs))
+        return AlgebraElement._exact(self.n, self.matrix.apply(x.coeffs))
 
     @property
     def invertible(self) -> bool:

@@ -9,7 +9,8 @@ polynomial in an outer variable whose coefficients are ``Poly`` values in an
 inner variable, is only the return form of two-variable results; they are
 computed by coefficient matching, never by multiplying nested polynomials.
 Matrices are dense tuples of Fractions, and row reduction, ranks and
-nullspaces are fraction-free Gaussian elimination.
+nullspaces are fraction-free Gaussian elimination; row_space_basis returns
+rows already in reduced row echelon form as they are, without eliminating.
 
 Wire formats: a rational serializes as the string ``"p/q"``, or ``"p"`` when
 the denominator is 1; a polynomial serializes as a JSON array of such strings
@@ -391,16 +392,31 @@ def _rref_inplace(mat: list[list[Fraction]]) -> list[int]:
     return pivots
 
 
+def _is_rref(mat: list[list[Fraction]]) -> bool:
+    """True iff the rows are RREF: every row is nonzero with pivot 1, the pivots
+    strictly increase, and each row is 0 in the pivot columns right of its own."""
+    pivots: list[int] = []
+    for row in mat:
+        p = next((c for c, e in enumerate(row) if e), None)
+        if p is None or row[p] != 1 or pivots and pivots[-1] >= p:
+            return False
+        pivots.append(p)
+    return not any(row[c] for p, row in zip(pivots, mat) for c in pivots if c > p)
+
+
 def row_space_basis(vectors: Iterable[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
     """Reduced row echelon basis of the span of the given vectors.
 
     The output is canonical: two spans are equal iff their bases are equal
-    tuples, and re-reducing a basis returns it unchanged.
+    tuples.  Rows already in RREF are that basis, since the RREF of a span is
+    unique, so they are returned as they are, with no elimination.
     """
     mat = [[as_fraction(e) for e in v] for v in vectors]
     widths = {len(row) for row in mat}
     if len(widths) > 1:
         raise ValueError("vectors must all have the same length")
+    if _is_rref(mat):
+        return tuple(map(tuple, mat))
     pivots = _rref_inplace(mat)
     return tuple(tuple(row) for row in mat[: len(pivots)])
 

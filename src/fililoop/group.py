@@ -264,4 +264,4 @@ def glog(g: GroupElement) -> AlgebraElement:
     pq = [p ** k * q ** (n - k) for k in range(n + 1)]
     phi = [Fraction(num, den) if (num := sum(map(mul, map(mul, rows[j], pq), ints[j:]))) else _ZERO
            for j in range(n, -1, -1)]
-    return AlgebraElement(n, (g.c, *phi))
+    return AlgebraElement._exact(n, (g.c, *phi))

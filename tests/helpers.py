@@ -1,5 +1,5 @@
-"""Shared random generators (all deterministic seeds) and nested-product
-oracles for the test suite."""
+"""Shared random generators (all deterministic seeds), a Fraction
+Gauss-Jordan elimination and nested-product oracles for the test suite."""
 
 from __future__ import annotations
 
@@ -80,6 +80,33 @@ def twist_specs(seed: int, count: int = 320) -> list[LoopSpec]:
     rng = random.Random(seed)
     kinds = ("random", "high", "symmetric", "perturbed")
     return [rand_twist_spec(rng, kinds[i % 4], 1 + i // 4 % 6) for i in range(count)]
+
+
+def fraction_rref(mat: list[list[Fraction]]) -> list[int]:
+    """Gauss-Jordan elimination with Fraction arithmetic, row by row, in place;
+    returns the pivot columns.  The reference for exact.row_space_basis and
+    its elimination routine, sharing no code with them."""
+    pivots: list[int] = []
+    if not mat:
+        return pivots
+    n_rows, n_cols = len(mat), len(mat[0])
+    r = 0
+    for c in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if mat[i][c]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [e * inv for e in mat[r]]
+        for i in range(n_rows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return pivots
 
 
 def nest_outer(p: Poly) -> Poly:

@@ -23,8 +23,9 @@ from fililoop.algebra import (
     subalgebra_closure,
     zero_element,
 )
+from fililoop.group import glog
 
-from helpers import rand_algebra_element, rand_fraction
+from helpers import rand_algebra_element, rand_fraction, rand_group_element
 
 
 def e(n, i):
@@ -435,6 +436,39 @@ def test_kernels_match_dense_oracles():
         assert not any(res[next(i for i, b in enumerate(r) if b)] for r in rows)
         seen.add((not s, bool(rows), not any(table_bracket(x, y))))
     assert len(seen) == 8
+
+
+def test_public_constructors_check_their_input():
+    for call, error in ((lambda: zero_element(0), ValueError),
+                        (lambda: zero_element(True), TypeError),
+                        (lambda: basis_element(True, 1), TypeError),
+                        (lambda: basis_element(0, 1), ValueError)):
+        with pytest.raises(error):
+            call()
+
+
+def test_unchecked_results_equal_checked_ones():
+    # results built without the constructor's checks are the values it builds
+    rng = random.Random(1817)
+    for case in range(400):
+        n = 1 + case % 8
+        x, y = mixed_element(rng, n), mixed_element(rng, n)
+        results = [bracket(x, y), bracket(y, x), x + y, x - y, -x,
+                   glog(rand_group_element(rng, n)),
+                   phi_automorphism([rand_fraction(rng) for _ in range(n)]).apply(x)]
+        for s in (rng.randint(-3, 3), rand_fraction(rng)):
+            results += [s * x, x * s]
+        matrix = RatMatrix(tuple(tuple(rand_fraction(rng) for _ in range(n + 2))
+                                 for _ in range(n + 2)))
+        results.append(LinearMap(n, matrix).apply(x))
+        v = SubalgebraBasis.span(n, [mixed_element(rng, n) for _ in range(rng.randint(1, n + 2))])
+        closure = subalgebra_closure(v.basis or (x,))
+        form = classify_subalgebra(closure)
+        results += [*v.basis, *SubalgebraBasis.span(n, v.basis).basis, *closure.basis,
+                    *((form.offset,) if form else ())]
+        for r in results:
+            assert r == AlgebraElement(r.n, r.coeffs) and type(r.coeffs) is tuple
+            assert all_fractions(r.coeffs), r
 
 
 def test_core_of_the_stabilizer_and_of_inn_subalgebras_is_zero():

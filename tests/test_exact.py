@@ -17,7 +17,7 @@ from fililoop.exact import (
 from fililoop.loop import LoopPoint
 from fililoop.mult import Certificate, SampleGrid
 
-from helpers import nest_inner, nest_outer, rand_fraction
+from helpers import fraction_rref, nest_inner, nest_outer, rand_fraction
 
 
 def F(num, den=1):
@@ -225,32 +225,6 @@ def test_nullspace_annihilates_and_has_corank_dimension():
             assert not any(a.apply(v))
 
 
-def fraction_rref(mat):
-    """Gauss-Jordan elimination with Fraction arithmetic, row by row, in place;
-    returns the pivot columns."""
-    pivots = []
-    if not mat:
-        return pivots
-    n_rows, n_cols = len(mat), len(mat[0])
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [e * inv for e in mat[r]]
-        for i in range(n_rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return pivots
-
-
 def rand_elimination_matrix(rng):
     """A tall, wide or square matrix, often rank-deficient, with zero rows,
     repeated rows, multiples of rows and denominators up to 10**6."""
@@ -308,12 +282,76 @@ def test_elimination_matches_fraction_gauss_jordan():
     assert shapes == {"tall", "wide", "square", "deficient"}
 
 
+def rand_rref(rng, cols, rank, integral):
+    """rank rows of width cols in RREF, and their pivot columns; the entries
+    right of a pivot outside the pivot columns are integers when integral."""
+    pivots = sorted(rng.sample(range(cols), rank))
+    rows = []
+    for p in pivots:
+        row = [F(0)] * cols
+        row[p] = F(1)
+        for c in range(p + 1, cols):
+            if c not in pivots and rng.random() < 0.6:
+                row[c] = F(rng.randint(-5, 5)) if integral else rand_fraction(rng)
+        rows.append(row)
+    return rows, pivots
+
+
+def rref_near_miss(rng, rows, pivots, kind):
+    """A copy of RREF rows, changed in the given way into rows that are not RREF."""
+    rows = [row[:] for row in rows]
+    i = rng.randrange(len(rows) - 1) if len(rows) > 1 else 0
+    if kind == "pivot 2":
+        rows[i] = [2 * e for e in rows[i]]
+    elif kind == "nonzero above a later pivot":
+        rows[i][pivots[rng.randrange(i + 1, len(rows))]] = F(rng.choice((-3, -1, 1, 2)))
+    elif kind == "zero row":
+        rows.insert(rng.randint(0, len(rows)), [F(0)] * len(rows[0]))
+    elif kind == "repeated row":
+        rows.insert(i + 1, rows[i][:])
+    else:
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    return rows
+
+
+def test_row_space_basis_matches_gauss_jordan_on_rref_and_near_misses():
+    # rows already in RREF come back as they are; every near miss must be
+    # reduced, and each must agree with the Fraction Gauss-Jordan oracle
+    rng = random.Random(1818)
+    kinds = ("rref", "pivot 2", "zero row", "repeated row",
+             "nonzero above a later pivot", "pivots out of order")
+    seen = set()
+    assert row_space_basis([]) == ()
+    for case in range(900):
+        cols = rng.randint(1, 10)
+        rank = rng.randint(1, cols)
+        integral = case % 3 == 0
+        rows, pivots = rand_rref(rng, cols, rank, integral)
+        kind = rng.choice(kinds if rank > 1 else kinds[:4])
+        mat = rows if kind == "rref" else rref_near_miss(rng, rows, pivots, kind)
+        if integral:
+            mat = [[int(e) for e in row] for row in mat]
+        expected = [[F(e) for e in row] for row in mat]
+        rank_expected = len(fraction_rref(expected))
+        basis = row_space_basis(mat)
+        assert basis == tuple(map(tuple, expected[:rank_expected])), (kind, mat)
+        assert all(type(e) is Fraction for row in basis for e in row)
+        if kind != "nonzero above a later pivot":  # the others keep the span
+            assert basis == tuple(map(tuple, rows)), (kind, mat)
+        seen.add((kind, integral))
+    assert len(seen) == 2 * len(kinds)
+
+
 def test_elimination_keeps_fractions_and_rejects_floats():
     half = F(1, 2)
     assert row_space_basis([(half, F(0))])[0][0] == 1
     assert span_residual((half, 3), ())[0] is half
     for call in (lambda: row_space_basis([(0.5, 1)]), lambda: span_residual((1, 0.5), ()),
-                 lambda: nullspace([(True, 1)], 2)):
+                 lambda: nullspace([(True, 1)], 2),
+                 # rows that would be RREF but for a float or a bool entry
+                 lambda: row_space_basis([(F(1), 0.0)]), lambda: row_space_basis([(1.0,)]),
+                 lambda: row_space_basis([(1, 0, 2.5), (0, 1, 0)]),
+                 lambda: row_space_basis([(True, 0), (0, 1)])):
         with pytest.raises(TypeError):
             call()
 

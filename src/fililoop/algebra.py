@@ -255,6 +255,7 @@ def core_ideal(h: SubalgebraBasis) -> SubalgebraBasis:
         raise NotClosedError("subspace is not closed under the bracket")
     n = h.n
     generators = [basis_element(n, 1), basis_element(n, 2)]
+    zero = zero_element(n)
     current = h
     while current.dimension > 0:
         rows = current.coord_rows()
@@ -272,7 +273,7 @@ def core_ideal(h: SubalgebraBasis) -> SubalgebraBasis:
         lam = nullspace(constraints, d)
         if len(lam) == d:
             return current
-        kept = [sum((c * b for c, b in zip(coeffs, current.basis) if c), zero_element(n))
+        kept = [sum((c * b for c, b in zip(coeffs, current.basis) if c), zero)
                 for coeffs in lam]
         current = SubalgebraBasis.span(n, kept)
     return current

@@ -280,13 +280,18 @@ def core_ideal(h: SubalgebraBasis) -> SubalgebraBasis:
 
 
 def inn_subalgebra(a: Sequence[Fraction]) -> SubalgebraBasis:
-    """The abelian subalgebra spanned by e_{1+i} + a_i e_{n+2}, i = 1..n."""
+    """The abelian subalgebra spanned by e_{1+i} + a_i e_{n+2}, i = 1..n.
+
+    Those rows are already RREF (row i has pivot e_{1+i}, and e_{n+2} is no
+    pivot), so they are built directly and the span keeps them as they are.
+    """
     n = len(a)
     if n < 1:
         raise ValueError("parameter vector must be nonempty")
-    top = basis_element(n, n + 2)
-    elems = [basis_element(n, 1 + i) + as_fraction(a[i - 1]) * top for i in range(1, n + 1)]
-    return SubalgebraBasis.span(n, elems)
+    one = Fraction(1)
+    return SubalgebraBasis.span(n, [
+        AlgebraElement._exact(n, (_ZERO,) * i + (one,) + (_ZERO,) * (n - i) + (as_fraction(x),))
+        for i, x in enumerate(a, 1)])
 
 
 class LinearMap(Record):
@@ -334,11 +339,12 @@ def phi_automorphism(a: Sequence[Fraction]) -> LinearMap:
     size = n + 2
     columns: list[list[Fraction]] = []
     for j in range(1, size + 1):
-        col = [Fraction(0)] * size
+        col = [_ZERO] * size
         col[j - 1] = Fraction(1)
         if 2 <= j <= n + 1:
             for d in range(1, size - j + 1):
-                col[j + d - 1] -= comb(size - j, d) * vals[n - d]
+                if v := vals[n - d]:
+                    col[j + d - 1] = Fraction(-comb(size - j, d) * v.numerator, v.denominator)
         columns.append(col)
     rows = tuple(tuple(columns[c][r] for c in range(size)) for r in range(size))
     return LinearMap(n, RatMatrix(rows))

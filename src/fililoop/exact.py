@@ -11,6 +11,8 @@ computed by coefficient matching, never by multiplying nested polynomials.
 Matrices are dense tuples of Fractions, and row reduction, ranks and
 nullspaces are fraction-free Gaussian elimination; row_space_basis returns
 rows already in reduced row echelon form as they are, without eliminating.
+RatMatrix @ and RatMatrix.apply are fraction-free too, one Fraction per output
+entry, and apply refuses float and bool vector entries with TypeError.
 
 Wire formats: a rational serializes as the string ``"p/q"``, or ``"p"`` when
 the denominator is 1; a polynomial serializes as a JSON array of such strings
@@ -330,11 +332,21 @@ class RatMatrix(Record):
                                for r1, r2 in zip(self.entries, other.entries)))
 
     def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Matrix-vector product."""
+        """Fraction-free matrix-vector product.  Vector entries go through
+        as_fraction (float and bool raise TypeError) and are scaled to integers
+        once; each row sums its nonzero entries on the vector's support as one
+        integer over their lcm denominator, one Fraction per output coordinate."""
         if len(vector) != self.cols:
             raise ValueError("vector length does not match matrix width")
-        return tuple(sum((e * v for e, v in zip(row, vector) if v), Fraction(0))
-                     for row in self.entries)
+        den_v, scaled = _integer_scaled([as_fraction(v) for v in vector])
+        support = [(c, v) for c, v in enumerate(scaled) if v]
+        out = []
+        for row in self.entries:
+            terms = [(e, v) for c, v in support if (e := row[c])]
+            d = lcm(*(e.denominator for e, _ in terms))
+            num = sum(e.numerator * (d // e.denominator) * v for e, v in terms)
+            out.append(Fraction(num, d * den_v) if num else _ZERO)
+        return tuple(out)
 
     @property
     def rank(self) -> int:

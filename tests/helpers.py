@@ -1,5 +1,6 @@
 """Shared random generators (all deterministic seeds), a Fraction
-Gauss-Jordan elimination and nested-product oracles for the test suite."""
+Gauss-Jordan elimination, a Fraction matrix-vector product and
+nested-product oracles for the test suite."""
 
 from __future__ import annotations
 
@@ -107,6 +108,13 @@ def fraction_rref(mat: list[list[Fraction]]) -> list[int]:
         if r == n_rows:
             break
     return pivots
+
+
+def fraction_matvec(rows, vector) -> tuple[Fraction, ...]:
+    """Matrix-vector product as plain Fraction dot products over every column.
+    The reference for exact.RatMatrix.apply, sharing no code with it."""
+    return tuple(sum((Fraction(e) * Fraction(v) for e, v in zip(row, vector)), Fraction(0))
+                 for row in rows)
 
 
 def nest_outer(p: Poly) -> Poly:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -497,6 +498,44 @@ def test_inn_subalgebra_is_abelian_random():
         v = inn_subalgebra(tuple(rand_fraction(rng) for _ in range(n)))
         assert v.dimension == n
         assert v.is_commutative()
+
+
+def test_inn_subalgebra_equals_the_checked_construction():
+    rng = random.Random(1922)
+    for n in range(1, 11):
+        for _ in range(4):
+            a = [rng.choice((0, Fraction(0), rng.randint(-5, 5), rand_fraction(rng)))
+                 for _ in range(n)]
+            a[rng.randrange(n)] = Fraction(0)
+            top = basis_element(n, n + 2)
+            checked = SubalgebraBasis.span(
+                n, [basis_element(n, 1 + i) + Fraction(a[i - 1]) * top for i in range(1, n + 1)])
+            v = inn_subalgebra(a)
+            assert v == checked and v.dimension == n
+            assert all(all_fractions(x.coeffs) for x in v.basis)
+    for a in ((0.5,), (1, True)):
+        with pytest.raises(TypeError):
+            inn_subalgebra(a)
+
+
+def test_phi_entries_follow_the_binomial_formula():
+    # column j is phi(e_j): 1 at e_j, and for 2 <= j <= n+1 the entry at
+    # e_{j+d} is -C(n+2-j, d) a_{n+1-d}, d = 1..n+2-j; every other entry is 0
+    rng = random.Random(1923)
+    for n in range(1, 11):
+        a = [rng.choice((Fraction(0), rng.randint(-5, 5), rand_fraction(rng))) for _ in range(n)]
+        entries = phi_automorphism(a).matrix.entries
+        for i in range(1, n + 3):
+            for j in range(1, n + 3):
+                d = i - j
+                if d == 0:
+                    expected = Fraction(1)
+                elif 2 <= j <= n + 1 and d >= 1:
+                    expected = -comb(n + 2 - j, d) * Fraction(a[n - d])
+                else:
+                    expected = Fraction(0)
+                assert entries[i - 1][j - 1] == expected, (n, i, j)
+        assert all(all_fractions(row) for row in entries)
 
 
 def test_phi_formulas_n2():

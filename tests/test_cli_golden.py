@@ -57,6 +57,10 @@ def golden_argvs() -> list[list[str]]:
         ["classify-subalgebra", "--basis",
          "0,0,0,0,-1/2,0,3,2/7;0,0,0,0,1,1,1,1;0,0,0,0,0,2/3,-1,1/4;"
          "0,0,0,0,3/2,-1/2,4/3,-5/6;1,1/2,-2/3,3/4,5/7,-1/3,2/5,7/4"],
+        # inn-check at the benchmark's smallest and largest n, and a zero a
+        ["inn-check", "--a", "1/2,-3,2/3"],
+        ["inn-check", "--a", "-7/3,1/2,0,5/4,-1/7,2,-9/5,6,-1/6,3/8"],
+        ["inn-check", "--a", "0,0,0"],
     ]
     return out
 

@@ -14,10 +14,11 @@ from fililoop.exact import (
     row_space_basis,
     span_residual,
 )
+from fililoop.algebra import phi_automorphism
 from fililoop.loop import LoopPoint
 from fililoop.mult import Certificate, SampleGrid
 
-from helpers import fraction_rref, nest_inner, nest_outer, rand_fraction
+from helpers import fraction_matvec, fraction_rref, nest_inner, nest_outer, rand_fraction
 
 
 def F(num, den=1):
@@ -447,3 +448,49 @@ def test_matmul_matches_naive_fraction_product():
         assert all(type(e) is Fraction for row in product.entries for e in row)
     with pytest.raises(ValueError):
         RatMatrix(((1, 2),)) @ RatMatrix(((1, 2),))
+
+
+def test_apply_matches_fraction_dot_products():
+    # 600 seeded cases, sizes 3..12, cycling through six kinds of input
+    rng = random.Random(1919)
+
+    def big():
+        return F(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
+
+    def sparse(size, draw):
+        return [draw() if rng.random() < 0.4 else F(0) for _ in range(size)]
+
+    for case in range(600):
+        size, kind = 3 + case % 10, case % 6
+        matrix = [[big() for _ in range(size)] for _ in range(size)]
+        vector = [big() for _ in range(size)]
+        if kind == 0:
+            vector = [F(0)] * size
+        elif kind == 1:
+            for r in rng.sample(range(size), rng.randint(1, size)):
+                matrix[r] = [F(0)] * size
+            vector = sparse(size, big)
+        elif kind == 2:
+            matrix = [[rng.randint(-50, 50) for _ in range(size)] for _ in range(size)]
+            vector = [rng.randint(-50, 50) for _ in range(size)]
+        elif kind == 3:
+            vector = [rng.choice((0, rng.randint(-9, 9), big())) for _ in range(size)]
+        elif kind == 4:
+            matrix = [sparse(size, lambda: rand_fraction(rng)) for _ in range(size)]
+            vector = sparse(size, lambda: rand_fraction(rng))
+        else:
+            a = [rng.choice((F(0), rand_fraction(rng), big())) for _ in range(size - 2)]
+            matrix = phi_automorphism(a).matrix.entries
+            vector = sparse(size, big) if case % 12 < 6 else [F(0), *[F(1)] * (size - 2), F(0)]
+        result = RatMatrix(tuple(map(tuple, matrix))).apply(vector)
+        assert result == fraction_matvec(matrix, vector), case
+        assert type(result) is tuple and all(type(e) is Fraction for e in result)
+    with pytest.raises(ValueError):
+        RatMatrix(((1, 2),)).apply((F(1),))
+
+
+def test_apply_refuses_float_and_bool_entries():
+    m = RatMatrix(((1, 0), (0, 1)))
+    for vector in ((0.5, F(1)), (True, F(1)), (F(1), False), (0.0, 0), (1, 2.0)):
+        with pytest.raises(TypeError):
+            m.apply(vector)

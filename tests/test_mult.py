@@ -7,7 +7,7 @@ import pytest
 
 from fililoop import mult
 from fililoop.exact import Poly, RatMatrix
-from fililoop.algebra import SubalgebraBasis, basis_element, core_ideal
+from fililoop.algebra import LinearMap, SubalgebraBasis, basis_element, core_ideal, phi_automorphism
 from fililoop.group import GroupElement, commutator, glog, in_H
 from fililoop.loop import CommMatrix, LoopSpec, SpecError, spec_from_comm_matrix, twist_table
 from fililoop.mult import (
@@ -448,6 +448,22 @@ def test_inn_correspondence_random():
     for _ in range(15):
         n = rng.randint(1, 5)
         assert inn_correspondence_check(tuple(rand_fraction(rng) for _ in range(n)))
+
+
+def test_inn_correspondence_fails_for_a_perturbed_phi(monkeypatch):
+    # one changed e_{n+2} entry in a column e_2..e_{n+1} leaves an e_{n+2}
+    # component in the image, so the check is not vacuous
+    a = (F(1, 2), F(-3), F(0), F(2, 3))
+    n = len(a)
+    phi = phi_automorphism(a)
+    for col in range(1, n + 1):
+        rows = [list(row) for row in phi.matrix.entries]
+        rows[n + 1][col] += 1
+        perturbed = LinearMap(n, RatMatrix(tuple(map(tuple, rows))))
+        monkeypatch.setattr(mult, "phi_automorphism", lambda _a, m=perturbed: m)
+        assert not inn_correspondence_check(a), col
+    monkeypatch.undo()
+    assert inn_correspondence_check(a)
 
 
 def test_report_json_shape():

@@ -461,7 +461,7 @@ def test_apply_matches_fraction_dot_products():
         return [draw() if rng.random() < 0.4 else F(0) for _ in range(size)]
 
     for case in range(600):
-        size, kind = 3 + case % 10, case % 6
+        size, kind = 3 + case // 6 % 10, case % 6
         matrix = [[big() for _ in range(size)] for _ in range(size)]
         vector = [big() for _ in range(size)]
         if kind == 0:

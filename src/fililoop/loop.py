@@ -9,12 +9,14 @@ which is the coset multiplication induced on G/H by the section sending
 (u, z) to g(u, v_1(u), ..., v_n(u), z) in the filiform group.  The spec is
 proper (the loop is not a group) iff every v_i is nonconstant and v_n is
 nonlinear.  Divisions are closed-form because the z-component above is
-affine in z1 and z2.
+affine in z1 and z2.  Products and divisions sum the twist as one integer
+over one denominator and build one Fraction per result z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .exact import Poly, RatMatrix, Record, as_fraction, rational_from_str
 from .group import GroupElement, decompose, gmul
@@ -120,34 +122,52 @@ class LoopPoint(Record):
         object.__setattr__(self, "u", as_fraction(self.u))
         object.__setattr__(self, "z", as_fraction(self.z))
 
+    @classmethod
+    def _exact(cls, u: Fraction, z: Fraction) -> LoopPoint:
+        """(u, z) unchecked, for Fraction u and z."""
+        p = object.__new__(cls)
+        p.__dict__.update(u=u, z=z)
+        return p
+
     def to_json(self) -> dict:
         return {"u": str(self.u), "z": str(self.z)}
 
 
-def _twist(spec: LoopSpec, u1: Fraction, u2: Fraction) -> Fraction:
-    """The z-correction sum_k (-1)^k u2^k v_k(u1), as one Horner scheme in u2 over the v_k(u1)."""
-    total = Fraction(0)
-    for k in range(spec.n, 0, -1):
-        value = spec.v[k - 1](u1)
-        total = (total - value if k % 2 else total + value) * u2
-    return total
+def _twist(spec: LoopSpec, u1: Fraction, u2: Fraction) -> tuple[int, int]:
+    """sum_k (-1)^k u2^k v_k(u1) as N / D.  The values v_k(u1) come from Poly.__call__;
+    with u2 = r/s and d the lcm of their denominators, N = sum_k d v_k(u1) (-r)^k s^(n-k),
+    one Horner scheme in -r over integers, and D = d s^n > 0."""
+    values = [p(u1) for p in spec.v]
+    d = lcm(*[v.denominator for v in values])
+    r, s = -u2.numerator, u2.denominator
+    total, s_power = 0, 1
+    for v in reversed(values):
+        total = (total + v.numerator * (d // v.denominator) * s_power) * r
+        s_power *= s
+    return total, d * s_power
+
+
+def _z(w: Fraction, sign: int, x: Fraction, twist: tuple[int, int]) -> Fraction:
+    """w + sign * (x + N / D) for twist = (N, D), as one Fraction."""
+    (n, d), q, t = twist, w.denominator, x.denominator
+    return Fraction(w.numerator * t * d + sign * (x.numerator * q * d + n * q * t), q * t * d)
 
 
 def lmul(spec: LoopSpec, a: LoopPoint, b: LoopPoint) -> LoopPoint:
     """Loop product a * b."""
-    return LoopPoint(a.u + b.u, a.z + b.z + _twist(spec, a.u, b.u))
+    return LoopPoint._exact(a.u + b.u, _z(b.z, 1, a.z, _twist(spec, a.u, b.u)))
 
 
 def ldiv(spec: LoopSpec, a: LoopPoint, b: LoopPoint) -> LoopPoint:
     """The unique y with a * y = b."""
     u = b.u - a.u
-    return LoopPoint(u, b.z - a.z - _twist(spec, a.u, u))
+    return LoopPoint._exact(u, _z(b.z, -1, a.z, _twist(spec, a.u, u)))
 
 
 def rdiv(spec: LoopSpec, b: LoopPoint, a: LoopPoint) -> LoopPoint:
     """The unique x with x * a = b."""
     u = b.u - a.u
-    return LoopPoint(u, b.z - a.z - _twist(spec, u, a.u))
+    return LoopPoint._exact(u, _z(b.z, -1, a.z, _twist(spec, u, a.u)))
 
 
 def coset_representative(n: int, p: LoopPoint) -> GroupElement:
@@ -175,13 +195,13 @@ def section_solve(spec: LoopSpec, source: LoopPoint,
     parameters of the factorization.
     """
     u = target.u - source.u
-    z = target.z - source.z - _twist(spec, u, source.u)
-    moved = gmul(left_translation(spec, LoopPoint(u, z)),
+    point = LoopPoint._exact(u, _z(target.z, -1, source.z, _twist(spec, u, source.u)))
+    moved = gmul(left_translation(spec, point),
                  coset_representative(spec.n, source))
     slice_part, h_part = decompose(moved)
     if (slice_part.c, slice_part.b) != (target.u, target.z):
         raise RuntimeError("closed-form section solution failed verification")
-    return LoopPoint(u, z), h_part.a
+    return point, h_part.a
 
 
 class CommMatrix(Record):

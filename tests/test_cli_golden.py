@@ -62,6 +62,21 @@ def golden_argvs() -> list[list[str]]:
         ["inn-check", "--a", "-7/3,1/2,0,5/4,-1/7,2,-9/5,6,-1/6,3/8"],
         ["inn-check", "--a", "0,0,0"],
     ]
+    # the benchmark's loop-arith sizes: n = 6, degrees up to 8, fractional
+    # coefficients, and fractional, negative and zero coordinates
+    spec = "specs/f8_mixed.json"
+    points = ["--a", "0,-2/3", "--b", "5/7,1/2"]
+    out += [
+        ["validate", spec],
+        ["comm", spec],
+        ["mult-group", spec],
+        ["mul", spec, *points],
+        ["mul", spec, "--a", "-9/4,13/6", "--b", "-2/3,0"],
+        ["div", spec, *points, "--side", "left"],
+        ["div", spec, *points, "--side", "right"],
+        ["div", spec, "--a", "-9/4,13/6", "--b", "3/11,-5", "--side", "left"],
+        ["div", spec, "--a", "-9/4,13/6", "--b", "3/11,-5", "--side", "right"],
+    ]
     return out
 
 

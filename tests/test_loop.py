@@ -60,6 +60,10 @@ def test_validate_examples():
     with pytest.raises(SpecError, match=r"v\[0\]"):
         LoopSpec(1, (Poly([1, 0, 1]),))
 
+    # only the library path reaches this check: from_json always builds Polys
+    with pytest.raises(SpecError, match=r"field 'v\[1\]' is not a polynomial"):
+        LoopSpec(2, (Poly([0, 1]), "x"))
+
 
 def test_proper_reasons_follow_the_degree_rule():
     # 360 seeded specs, n 1..6; each v_i is zero, constant, linear or of degree
@@ -197,18 +201,34 @@ def explicit_twist(spec, u1, u2):
 def test_products_and_divisions_match_the_explicit_twist():
     rng = random.Random(67)
     special = [F(0), F(1), F(-1), F(-3), F(1, 2), F(-2, 3), F(7, 5)]
+    # denominators near 10**12, negative numerators among them
+    large = [F(-1, 10**12 + 39), F(-7 * 10**11 - 3, 10**12 - 11), F(5 * 10**12 + 1, 10**12 + 3),
+             F(-999_999_999_989, 999_999_999_961)]
 
     def coordinate():
-        return rng.choice(special) if rng.random() < 0.5 else rand_fraction(rng)
+        pick = rng.random()
+        if pick < 0.6:
+            return rng.choice(special if pick < 0.4 else large)
+        return rand_fraction(rng)
+
+    def exact_point(p):
+        # Record equality alone would take an int z; the checked constructor
+        # must give an equal point with the same hash
+        assert type(p.u) is Fraction and type(p.z) is Fraction
+        checked = LoopPoint(p.u, p.z)
+        assert p == checked and hash(p) == hash(checked)
+        return p
 
     for spec in twist_specs(71):
         for _ in range(4):
             a, b = LoopPoint(coordinate(), coordinate()), LoopPoint(coordinate(), coordinate())
             u = b.u - a.u
             z = a.z + b.z + explicit_twist(spec, a.u, b.u)
-            assert lmul(spec, a, b) == LoopPoint(a.u + b.u, z)
-            assert ldiv(spec, a, b) == LoopPoint(u, b.z - a.z - explicit_twist(spec, a.u, u))
-            assert rdiv(spec, b, a) == LoopPoint(u, b.z - a.z - explicit_twist(spec, u, a.u))
+            left_z = b.z - a.z - explicit_twist(spec, a.u, u)
+            right_z = b.z - a.z - explicit_twist(spec, u, a.u)
+            assert exact_point(lmul(spec, a, b)) == LoopPoint(a.u + b.u, z)
+            assert exact_point(ldiv(spec, a, b)) == LoopPoint(u, left_z)
+            assert exact_point(rdiv(spec, b, a)) == LoopPoint(u, right_z)
             assert lmul(spec, a, ldiv(spec, a, b)) == b and ldiv(spec, a, lmul(spec, a, b)) == b
             assert lmul(spec, rdiv(spec, b, a), a) == b and rdiv(spec, lmul(spec, b, a), a) == b
             # the twist vanishes when either u is 0, since every v_k(0) = 0

@@ -42,8 +42,8 @@ class AlgebraElement(Record):
 
     ``coeffs[i-1]`` is the e_i coefficient.  The constructor passes them
     through exact.as_fraction (Fraction objects kept, floats and bools raise
-    TypeError); results built from checked values skip it through ``_exact``,
-    as GroupElement's do.  ``+``, ``-`` and scalar ``*`` pass zeros through.
+    TypeError); results built from checked values skip it through
+    ``Record._exact``.  ``+``, ``-`` and scalar ``*`` pass zeros through.
     """
 
     n: int
@@ -55,13 +55,6 @@ class AlgebraElement(Record):
         if len(coeffs) != self.n + 2:
             raise ValueError(f"expected {self.n + 2} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def _exact(cls, n: int, coeffs: tuple[Fraction, ...]) -> AlgebraElement:
-        """The element unchecked, for a tuple of n + 2 Fractions with n >= 1."""
-        x = object.__new__(cls)
-        x.__dict__.update(n=n, coeffs=coeffs)
-        return x
 
     @property
     def is_zero(self) -> bool:
@@ -173,21 +166,6 @@ class SubalgebraBasis(Record):
 
     def to_json(self) -> list:
         return [e.to_json() for e in self.basis]
-
-
-def full_algebra(n: int) -> SubalgebraBasis:
-    return SubalgebraBasis.span(n, [basis_element(n, i) for i in range(1, n + 3)])
-
-
-def lower_central_series(n: int) -> list[SubalgebraBasis]:
-    """The descending series g, [g, g], [g, [g, g]], ... down to zero."""
-    g = full_algebra(n)
-    series = [g]
-    while series[-1].dimension > 0:
-        prev = series[-1]
-        products = [bracket(x, y) for x in g.basis for y in prev.basis]
-        series.append(SubalgebraBasis.span(n, products))
-    return series
 
 
 def subalgebra_closure(generators: Sequence[AlgebraElement]) -> SubalgebraBasis:
@@ -310,10 +288,6 @@ class LinearMap(Record):
             raise ValueError("element dimension does not match map dimension")
         return AlgebraElement._exact(self.n, self.matrix.apply(x.coeffs))
 
-    @property
-    def invertible(self) -> bool:
-        return self.matrix.rank == self.n + 2
-
     def map_span(self, v: SubalgebraBasis) -> SubalgebraBasis:
         return SubalgebraBasis.span(self.n, [self.apply(b) for b in v.basis])
 
@@ -348,17 +322,3 @@ def phi_automorphism(a: Sequence[Fraction]) -> LinearMap:
         columns.append(col)
     rows = tuple(tuple(columns[c][r] for c in range(size)) for r in range(size))
     return LinearMap(n, RatMatrix(rows))
-
-
-def is_bracket_automorphism(m: LinearMap) -> bool:
-    """True iff the map is invertible and preserves all basis brackets."""
-    if not m.invertible:
-        return False
-    n = m.n
-    elems = [basis_element(n, i) for i in range(1, n + 3)]
-    images = [m.apply(e) for e in elems]
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if m.apply(bracket(elems[i], elems[j])) != bracket(images[i], images[j]):
-                return False
-    return True

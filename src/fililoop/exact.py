@@ -8,8 +8,8 @@ ascending power order with no trailing zeros.  A nested ``Poly``, a
 polynomial in an outer variable whose coefficients are ``Poly`` values in an
 inner variable, is only the return form of two-variable results; they are
 computed by coefficient matching, never by multiplying nested polynomials.
-Matrices are dense tuples of Fractions, and row reduction, ranks and
-nullspaces are fraction-free Gaussian elimination; row_space_basis returns
+Matrices are dense tuples of Fractions, and row reduction and nullspaces
+are fraction-free Gaussian elimination; row_space_basis returns
 rows already in reduced row echelon form as they are, without eliminating.
 RatMatrix @ and RatMatrix.apply are fraction-free too, one Fraction per output
 entry, and apply refuses float and bool vector entries with TypeError.
@@ -43,6 +43,8 @@ class Record:
     ``object.__setattr__``.  A record equals only a record of the same type
     with equal fields, hashes over its fields, prints as
     ``Name(field=value, ...)``, and refuses assignment with AttributeError.
+    ``_exact`` builds a record with no ``__post_init__``, for values the
+    checks would keep as they are.
     """
 
     _fields = ()
@@ -72,6 +74,13 @@ class Record:
 
     def __post_init__(self) -> None:
         pass
+
+    @classmethod
+    def _exact(cls, *values):
+        """The record of these field values, in field order, unchecked."""
+        r = object.__new__(cls)
+        r.__dict__.update(zip(cls._fields, values))
+        return r
 
     def _values(self) -> tuple:
         return tuple([self.__dict__[f] for f in self._fields])
@@ -161,12 +170,6 @@ class Poly:
     @classmethod
     def const(cls, value: object) -> Poly:
         return cls((value,))
-
-    @classmethod
-    def monomial(cls, power: int, coeff: object = 1) -> Poly:
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        return cls((0,) * power + (coeff,))
 
     # -- structure ----------------------------------------------------
 
@@ -296,10 +299,6 @@ class RatMatrix(Record):
             raise ValueError("matrix rows must all have the same length")
         object.__setattr__(self, "entries", rows)
 
-    @classmethod
-    def identity(cls, n: int) -> RatMatrix:
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -321,16 +320,6 @@ class RatMatrix(Record):
                   for den_c, col in cols)
             for den_r, row in rows))
 
-    def __add__(self, other: RatMatrix) -> RatMatrix:
-        self._same_shape(other)
-        return RatMatrix(tuple(tuple(a + b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: RatMatrix) -> RatMatrix:
-        self._same_shape(other)
-        return RatMatrix(tuple(tuple(a - b for a, b in zip(r1, r2))
-                               for r1, r2 in zip(self.entries, other.entries)))
-
     def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Fraction-free matrix-vector product.  Vector entries go through
         as_fraction (float and bool raise TypeError) and are scaled to integers
@@ -347,14 +336,6 @@ class RatMatrix(Record):
             num = sum(e.numerator * (d // e.denominator) * v for e, v in terms)
             out.append(Fraction(num, d * den_v) if num else _ZERO)
         return tuple(out)
-
-    @property
-    def rank(self) -> int:
-        return len(row_space_basis(self.entries))
-
-    def _same_shape(self, other: RatMatrix) -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shapes differ")
 
 
 def _integer_scaled(vector: Sequence[Fraction]) -> tuple[int, list[int]]:

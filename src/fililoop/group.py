@@ -87,13 +87,6 @@ class GroupElement(Record):
         object.__setattr__(self, "b", as_fraction(self.b))
 
     @classmethod
-    def _exact(cls, n: int, c: Fraction, a: tuple[Fraction, ...], b: Fraction) -> GroupElement:
-        """g(c, a, b) unchecked, for Fraction fields with n >= 1 and len(a) == n."""
-        g = object.__new__(cls)
-        g.__dict__.update(n=n, c=c, a=a, b=b)
-        return g
-
-    @classmethod
     def identity(cls, n: int) -> GroupElement:
         return cls(n, _ZERO, (_ZERO,) * n, _ZERO)
 
@@ -227,12 +220,6 @@ def commutator(g1: GroupElement, g2: GroupElement) -> GroupElement:
         v //= q
         w //= r
     return GroupElement._exact(g1.n, _ZERO, tuple(d[1:]), d[0])
-
-
-def decompose(g: GroupElement) -> tuple[GroupElement, GroupElement]:
-    """Unique factorization g = slice * h with slice = g(c, 0, b), h in H."""
-    n = g.n
-    return GroupElement(n, g.c, (_ZERO,) * n, g.b), GroupElement(n, _ZERO, g.a, _ZERO)
 
 
 @cache

@@ -19,7 +19,6 @@ from fractions import Fraction
 from math import lcm
 
 from .exact import Poly, RatMatrix, Record, as_fraction, rational_from_str
-from .group import GroupElement, decompose, gmul
 
 __all__ = [
     "CommMatrix",
@@ -27,12 +26,9 @@ __all__ = [
     "LoopSpec",
     "SpecError",
     "comm_defect",
-    "coset_representative",
     "ldiv",
-    "left_translation",
     "lmul",
     "rdiv",
-    "section_solve",
     "spec_from_comm_matrix",
     "twist_table",
 ]
@@ -49,8 +45,8 @@ class LoopSpec(Record):
     """n polynomials v_1..v_n with v_i(0) = 0, defining the multiplication.
 
     This class is the one place that knows what a valid spec is: n is an int
-    >= 1 (never a bool), v holds exactly n polynomials, and each satisfies
-    the identity condition.  The properness flag and its reasons are
+    >= 1 (never a bool), v holds exactly n polynomials with Fraction
+    coefficients, and each satisfies the identity condition.  The properness flag and its reasons are
     computed once here; they are attributes, not fields, so they take no
     part in the constructor, equality or repr.
     """
@@ -68,6 +64,9 @@ class LoopSpec(Record):
         for idx, p in enumerate(polys, start=1):
             if not isinstance(p, Poly):
                 raise SpecError(f"field 'v[{idx - 1}]' is not a polynomial")
+            for j, c in enumerate(p.coeffs):
+                if not isinstance(c, Fraction):
+                    raise SpecError(f"field 'v[{idx - 1}][{j}]' is not a rational")
             if p.coefficient(0) != 0:
                 raise SpecError(f"field 'v[{idx - 1}]': v{idx}(0) = {p.coefficient(0)}, "
                                 "loop identity requires 0")
@@ -122,13 +121,6 @@ class LoopPoint(Record):
         object.__setattr__(self, "u", as_fraction(self.u))
         object.__setattr__(self, "z", as_fraction(self.z))
 
-    @classmethod
-    def _exact(cls, u: Fraction, z: Fraction) -> LoopPoint:
-        """(u, z) unchecked, for Fraction u and z."""
-        p = object.__new__(cls)
-        p.__dict__.update(u=u, z=z)
-        return p
-
     def to_json(self) -> dict:
         return {"u": str(self.u), "z": str(self.z)}
 
@@ -168,40 +160,6 @@ def rdiv(spec: LoopSpec, b: LoopPoint, a: LoopPoint) -> LoopPoint:
     """The unique x with x * a = b."""
     u = b.u - a.u
     return LoopPoint._exact(u, _z(b.z, -1, a.z, _twist(spec, u, a.u)))
-
-
-def coset_representative(n: int, p: LoopPoint) -> GroupElement:
-    """The group element g(u, 0, ..., 0, z) representing the coset of p."""
-    return GroupElement(n, p.u, (Fraction(0),) * n, p.z)
-
-
-def left_translation(spec: LoopSpec, a: LoopPoint) -> GroupElement:
-    """Section image g(u, v_1(u), ..., v_n(u), z) acting as translation by a.
-
-    Multiplying this element onto a coset representative and decomposing
-    reproduces lmul, which the test suite uses as the master oracle.
-    """
-    values = tuple(p(a.u) for p in spec.v)
-    return GroupElement(spec.n, a.u, values, a.z)
-
-
-def section_solve(spec: LoopSpec, source: LoopPoint,
-                  target: LoopPoint) -> tuple[LoopPoint, tuple[Fraction, ...]]:
-    """Solve sigma(u, z) * rep(source) = rep(target) * h for (u, z) and h.
-
-    The first coordinate forces u = target.u - source.u and the remaining
-    scalar equation is affine in z with unit coefficient, so the solution
-    exists and is unique; the returned tuple carries the H-component
-    parameters of the factorization.
-    """
-    u = target.u - source.u
-    point = LoopPoint._exact(u, _z(target.z, -1, source.z, _twist(spec, u, source.u)))
-    moved = gmul(left_translation(spec, point),
-                 coset_representative(spec.n, source))
-    slice_part, h_part = decompose(moved)
-    if (slice_part.c, slice_part.b) != (target.u, target.z):
-        raise RuntimeError("closed-form section solution failed verification")
-    return point, h_part.a
 
 
 class CommMatrix(Record):

@@ -1,6 +1,6 @@
-"""Shared random generators (all deterministic seeds), a Fraction
-Gauss-Jordan elimination, a Fraction matrix-vector product and
-nested-product oracles for the test suite."""
+"""Shared random generators (all deterministic seeds) and the comparison of
+unchecked records with checked ones for the test suite; the reference
+implementations are in oracles.py."""
 
 from __future__ import annotations
 
@@ -83,70 +83,15 @@ def twist_specs(seed: int, count: int = 320) -> list[LoopSpec]:
     return [rand_twist_spec(rng, kinds[i % 4], 1 + i // 4 % 6) for i in range(count)]
 
 
-def fraction_rref(mat: list[list[Fraction]]) -> list[int]:
-    """Gauss-Jordan elimination with Fraction arithmetic, row by row, in place;
-    returns the pivot columns.  The reference for exact.row_space_basis and
-    its elimination routine, sharing no code with them."""
-    pivots: list[int] = []
-    if not mat:
-        return pivots
-    n_rows, n_cols = len(mat), len(mat[0])
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if mat[i][c]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [e * inv for e in mat[r]]
-        for i in range(n_rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return pivots
+def _types(value):
+    return tuple(map(_types, value)) if isinstance(value, tuple) else type(value)
 
 
-def fraction_matvec(rows, vector) -> tuple[Fraction, ...]:
-    """Matrix-vector product as plain Fraction dot products over every column.
-    The reference for exact.RatMatrix.apply, sharing no code with it."""
-    return tuple(sum((Fraction(e) * Fraction(v) for e, v in zip(row, vector)), Fraction(0))
-                 for row in rows)
-
-
-def nest_outer(p: Poly) -> Poly:
-    """Reinterpret a scalar polynomial in the outer variable of a pair."""
-    return Poly(tuple(Poly.const(c) for c in p.coeffs))
-
-
-def nest_inner(p: Poly) -> Poly:
-    """Embed a scalar polynomial as an inner-variable constant of a pair."""
-    return Poly((p,))
-
-
-def nested_comm_defect(spec: LoopSpec) -> Poly:
-    """comm_defect built from nested two-variable products (outer u1, inner u2)."""
-    total = Poly()
-    for k in range(1, spec.n + 1):
-        vk = spec.v[k - 1]
-        term1 = nest_outer(vk) * nest_inner(Poly.monomial(k))
-        term2 = nest_outer(Poly.monomial(k)) * nest_inner(vk)
-        total = total + Fraction((-1) ** k) * (term1 - term2)
-    return total
-
-
-def nested_companion_residual(spec: LoopSpec, s) -> Poly:
-    """Left minus right side of the companion identity
-    sum_k (-1)^k x^k (s_k(u) + v_k(u)) = sum_j (-1)^j u^j v_j(x), built from
-    nested two-variable products (outer x, inner u); s solves it iff the
-    result is the zero polynomial."""
-    left = Poly()
-    right = Poly()
-    for k in range(1, spec.n + 1):
-        sign = Fraction((-1) ** k)
-        left = left + sign * nest_outer(Poly.monomial(k)) * nest_inner(s[k - 1] + spec.v[k - 1])
-        right = right + sign * nest_inner(Poly.monomial(k)) * nest_outer(spec.v[k - 1])
-    return left - right
+def assert_same_as_checked(record) -> None:
+    """A record built without its constructor's checks (Record._exact) equals
+    the one the checked constructor builds from its fields, with the same
+    record type, the same field types and the same hash."""
+    checked = type(record)(*record._values())
+    assert type(checked) is type(record), record
+    assert _types(checked._values()) == _types(record._values()), record
+    assert checked == record and hash(checked) == hash(record), record

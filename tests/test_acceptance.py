@@ -18,19 +18,15 @@ from fililoop.algebra import (
     bracket,
     core_ideal,
     inn_subalgebra,
-    is_bracket_automorphism,
-    lower_central_series,
     phi_automorphism,
 )
-from fililoop.group import decompose, gmul, to_matrix
+from fililoop.group import gmul, to_matrix
 from fililoop.loop import (
     CommMatrix,
     LoopPoint,
     LoopSpec,
     comm_defect,
-    coset_representative,
     ldiv,
-    left_translation,
     lmul,
     rdiv,
     spec_from_comm_matrix,
@@ -51,6 +47,13 @@ from fililoop.mult import (
 from fililoop.cli import main as cli_main
 
 from helpers import rand_fraction, rand_group_element, rand_algebra_element, rand_point, rand_proper_spec
+from oracles import (
+    coset_representative,
+    decompose,
+    is_bracket_automorphism,
+    left_translation,
+    lower_central_series,
+)
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 

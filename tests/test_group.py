@@ -13,7 +13,6 @@ from fililoop.group import (
     _log_weights,
     _shift,
     commutator,
-    decompose,
     from_matrix,
     ginv,
     glog,
@@ -22,7 +21,8 @@ from fililoop.group import (
     to_matrix,
 )
 
-from helpers import rand_fraction, rand_group_element
+from helpers import assert_same_as_checked, rand_fraction, rand_group_element
+from oracles import add, decompose, identity, scaled, sub
 
 
 def F(num, den=1):
@@ -55,10 +55,6 @@ def rand_shifting_element(rng, n):
 
 # -- matrix-series oracles ---------------------------------------------------------
 
-def scaled(m, factor):
-    return RatMatrix(tuple(tuple(factor * e for e in row) for row in m.entries))
-
-
 def algebra_to_matrix(x):
     """Matrix realization of an algebra element, per the tangent identification."""
     n = x.n
@@ -77,11 +73,11 @@ def series_log(g):
     """log(I + N) = sum over k of (-1)^(k+1) N^k / k, which stops because N is
     nilpotent, read back into e_1..e_{n+2} coordinates."""
     n, size = g.n, g.n + 2
-    nil = to_matrix(g) - RatMatrix.identity(size)
+    nil = RatMatrix(sub(to_matrix(g).entries, identity(size)))
     total = power = nil
     for k in range(2, size):
         power = power @ nil
-        total = total + scaled(power, F((-1) ** (k + 1), k))
+        total = RatMatrix(add(total.entries, scaled(power.entries, F((-1) ** (k + 1), k))))
     row0 = total.entries[0]
     x = AlgebraElement(n, (-total.entries[1][size - 1], *row0[n:0:-1], row0[size - 1]))
     assert algebra_to_matrix(x) == total, "the matrix log left the modeled algebra"
@@ -92,12 +88,12 @@ def series_exp(x):
     """exp(M) = sum over k of M^k / k!, which stops because M is nilpotent."""
     size = x.n + 2
     m = algebra_to_matrix(x)
-    total = power = RatMatrix.identity(size)
+    total = power = RatMatrix(identity(size))
     factorial = 1
     for k in range(1, size):
         power = power @ m
         factorial *= k
-        total = total + scaled(power, F(1, factorial))
+        total = RatMatrix(add(total.entries, scaled(power.entries, F(1, factorial))))
     return from_matrix(total)
 
 
@@ -110,7 +106,7 @@ def test_to_matrix_n1():
 
 def test_to_matrix_identity():
     for n in range(1, 5):
-        assert to_matrix(GroupElement.identity(n)) == RatMatrix.identity(n + 2)
+        assert to_matrix(GroupElement.identity(n)).entries == identity(n + 2)
 
 
 def test_to_matrix_n2_band_row():
@@ -198,11 +194,11 @@ def test_ginv_closed_form_n1():
 def series_inverse(g):
     """(I + N)^(-1) = sum over k of (-N)^k, which stops because N is nilpotent."""
     size = g.n + 2
-    minus_nil = RatMatrix.identity(size) - to_matrix(g)
-    total = term = RatMatrix.identity(size)
+    minus_nil = RatMatrix(sub(identity(size), to_matrix(g).entries))
+    total = term = RatMatrix(identity(size))
     for _ in range(1, size):
         term = term @ minus_nil
-        total = total + term
+        total = RatMatrix(add(total.entries, term.entries))
     return total
 
 
@@ -279,17 +275,20 @@ def law_case(rng, n):
 
 
 def test_law_results_are_fractions_and_the_commutator_ignores_b():
-    # gmul, ginv and commutator build their results without the constructor's
-    # checks, so each field must come out a Fraction on its own; b is central,
-    # so changing either operand's b leaves the commutator as it is
+    # gmul, ginv and commutator build their results with Record._exact, without
+    # the constructor's checks, so each field must come out a Fraction on its
+    # own and each result must equal the checked one; b is central, so
+    # changing either operand's b leaves the commutator as it is
     rng = random.Random(71)
     for n in range(1, 11):
         for _ in range(32):
             x, y = law_case(rng, n), law_case(rng, n)
             k = commutator(x, y)
-            for g in (gmul(x, y), gmul(y, x), ginv(x), ginv(y), k):
+            for g in (gmul(x, y), gmul(y, x), ginv(x), ginv(y), k,
+                      GroupElement._exact(n, x.c, x.a, x.b)):
                 assert g.n == n and len(g.a) == n
                 assert all(type(v) is Fraction for v in (g.c, *g.a, g.b))
+                assert_same_as_checked(g)
             x_b = GroupElement(n, x.c, x.a, x.b + rand_fraction(rng))
             y_b = GroupElement(n, y.c, y.a, rand_fraction(rng))
             assert commutator(x_b, y) == k
@@ -463,7 +462,7 @@ def test_tangent_matrices_satisfy_bracket_table():
         for i in range(n + 2):
             for j in range(n + 2):
                 lie = algebra_to_matrix(bracket(basis_element(n, i + 1), basis_element(n, j + 1)))
-                assert mats[i] @ mats[j] - mats[j] @ mats[i] == lie
+                assert sub((mats[i] @ mats[j]).entries, (mats[j] @ mats[i]).entries) == lie.entries
 
 
 def test_group_element_keeps_fractions_and_converts_ints():

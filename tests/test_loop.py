@@ -8,24 +8,28 @@ import pytest
 
 from fililoop import loop, mult
 from fililoop.exact import Poly, RatMatrix
-from fililoop.group import GroupElement, decompose, gmul
+from fililoop.group import GroupElement, gmul
 from fililoop.loop import (
     CommMatrix,
     LoopPoint,
     LoopSpec,
     SpecError,
     comm_defect,
-    coset_representative,
     ldiv,
-    left_translation,
     lmul,
     rdiv,
-    section_solve,
     spec_from_comm_matrix,
     twist_table,
 )
 
-from helpers import nested_comm_defect, rand_fraction, rand_point, rand_proper_spec, twist_specs
+from helpers import assert_same_as_checked, rand_fraction, rand_point, rand_proper_spec, twist_specs
+from oracles import (
+    coset_representative,
+    decompose,
+    left_translation,
+    nested_comm_defect,
+    section_solve,
+)
 
 
 def F(num, den=1):
@@ -60,9 +64,14 @@ def test_validate_examples():
     with pytest.raises(SpecError, match=r"v\[0\]"):
         LoopSpec(1, (Poly([1, 0, 1]),))
 
-    # only the library path reaches this check: from_json always builds Polys
+    # only the library path reaches these checks: from_json always builds
+    # Polys with Fraction coefficients
     with pytest.raises(SpecError, match=r"field 'v\[1\]' is not a polynomial"):
         LoopSpec(2, (Poly([0, 1]), "x"))
+    with pytest.raises(SpecError, match=r"field 'v\[0\]\[1\]' is not a rational"):
+        LoopSpec(1, (Poly([0, Poly([0, 1])]),))
+    with pytest.raises(SpecError, match=r"field 'v\[1\]\[2\]' is not a rational"):
+        LoopSpec(2, (Poly([0, 1]), Poly([0, 1, Poly([1])])))
 
 
 def test_proper_reasons_follow_the_degree_rule():
@@ -217,6 +226,7 @@ def test_products_and_divisions_match_the_explicit_twist():
         assert type(p.u) is Fraction and type(p.z) is Fraction
         checked = LoopPoint(p.u, p.z)
         assert p == checked and hash(p) == hash(checked)
+        assert_same_as_checked(p)
         return p
 
     for spec in twist_specs(71):
@@ -229,6 +239,7 @@ def test_products_and_divisions_match_the_explicit_twist():
             assert exact_point(lmul(spec, a, b)) == LoopPoint(a.u + b.u, z)
             assert exact_point(ldiv(spec, a, b)) == LoopPoint(u, left_z)
             assert exact_point(rdiv(spec, b, a)) == LoopPoint(u, right_z)
+            assert exact_point(LoopPoint._exact(a.u, b.z)) == LoopPoint(a.u, b.z)
             assert lmul(spec, a, ldiv(spec, a, b)) == b and ldiv(spec, a, lmul(spec, a, b)) == b
             assert lmul(spec, rdiv(spec, b, a), a) == b and rdiv(spec, lmul(spec, b, a), a) == b
             # the twist vanishes when either u is 0, since every v_k(0) = 0

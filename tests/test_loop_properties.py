@@ -8,16 +8,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from fililoop.exact import Poly  # noqa: E402
-from fililoop.group import decompose, gmul  # noqa: E402
-from fililoop.loop import (  # noqa: E402
-    LoopPoint,
-    LoopSpec,
-    coset_representative,
-    ldiv,
-    left_translation,
-    lmul,
-    rdiv,
-)
+from fililoop.group import gmul  # noqa: E402
+from fililoop.loop import LoopPoint, LoopSpec, ldiv, lmul, rdiv  # noqa: E402
+from oracles import coset_representative, decompose, left_translation  # noqa: E402
 
 RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 NONZERO = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 9))

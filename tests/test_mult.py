@@ -26,15 +26,8 @@ from fililoop.mult import (
     transversal_identity_holds,
 )
 
-from helpers import (
-    nest_inner,
-    nest_outer,
-    nested_companion_residual,
-    rand_fraction,
-    rand_poly,
-    rand_proper_spec,
-    twist_specs,
-)
+from helpers import rand_fraction, rand_poly, rand_proper_spec, twist_specs
+from oracles import monomial, nest_inner, nest_outer, nested_companion_residual
 
 
 def F(num, den=1):
@@ -195,11 +188,11 @@ def test_transversal_rejects_linear():
 def nested_transversal_identity(v1, trans):
     """x*v1(u) = sum_k (-1)^(k+1) u^k a_k x built as nested two-variable
     products (outer x, inner u) and compared as a whole."""
-    x = Poly.monomial(1)
+    x = monomial(1)
     left = nest_outer(x) * nest_inner(v1)
     right = Poly()
     for k in range(1, trans.m + 1):
-        right = right + F((-1) ** (k + 1)) * nest_outer(trans.a[k - 1] * x) * nest_inner(Poly.monomial(k))
+        right = right + F((-1) ** (k + 1)) * nest_outer(trans.a[k - 1] * x) * nest_inner(monomial(k))
     return (left - right).is_zero
 
 

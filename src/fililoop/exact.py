@@ -249,14 +249,17 @@ class Poly:
     def __call__(self, point: object):
         """Horner evaluation at an int, Fraction or Poly point; float and bool raise TypeError.
 
-        Horner starts from the leading coefficient, so a scalar point gives a
-        Fraction; the zero polynomial gives Fraction(0) at any point.
+        Horner starts from the leading coefficient and adds only nonzero ones, so a scalar
+        point gives a Fraction, and 0 its constant term; the zero polynomial gives Fraction(0).
         """
         if isinstance(point, (float, bool)):
             raise TypeError(f"cannot evaluate at a {type(point).__name__}")
-        result = self.coeffs[-1] if self.coeffs else Fraction(0)
-        for c in self.coeffs[-2::-1]:
-            result = result * point + c
+        coeffs = self.coeffs or (_ZERO,)
+        if not point:  # an int or Fraction 0; a Poly point, even Poly(), is true
+            return coeffs[0]
+        result = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            result = result * point + c if c else result * point
         return result
 
     # -- comparison / display ------------------------------------------

@@ -86,10 +86,6 @@ class GroupElement(Record):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", as_fraction(self.b))
 
-    @classmethod
-    def identity(cls, n: int) -> GroupElement:
-        return cls(n, _ZERO, (_ZERO,) * n, _ZERO)
-
     def to_json(self) -> dict:
         return {"n": self.n, "c": str(self.c), "a": [str(x) for x in self.a], "b": str(self.b)}
 

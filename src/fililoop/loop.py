@@ -176,7 +176,7 @@ class CommMatrix(Record):
     def signed_symmetric(self) -> bool:
         """True iff a_ij = (-1)^(i+j) a_ji for all i, j."""
         e = self.a.entries
-        return all(e[i][j] == Fraction((-1) ** (i + j)) * e[j][i]
+        return all(e[i][j] == (-e[j][i] if (i + j) % 2 else e[j][i])
                    for i in range(self.n) for j in range(i + 1, self.n))
 
 
@@ -202,8 +202,8 @@ def twist_table(spec: LoopSpec) -> tuple[tuple[Fraction, ...], ...]:
     n = spec.n
     side = max(n, *(p.degree for p in spec.v)) + 1
     zero = Fraction(0)
-    return tuple(tuple((-1) ** j * spec.v[j - 1].coefficient(i) if 1 <= j <= n else zero
-                       for j in range(side))
+    return tuple(tuple((-c if j % 2 else c) if 1 <= j <= n and (c := spec.v[j - 1].coefficient(i))
+                       else zero for j in range(side))
                  for i in range(side))
 
 
@@ -216,4 +216,5 @@ def comm_defect(spec: LoopSpec) -> Poly:
     the result is the zero polynomial.
     """
     t = twist_table(spec)
-    return Poly(Poly(a - b for a, b in zip(row, column)) for row, column in zip(t, zip(*t)))
+    return Poly(Poly((a - b if a else -b) if b else a for a, b in zip(row, column))
+                for row, column in zip(t, zip(*t)))

@@ -137,6 +137,11 @@ def is_bracket_automorphism(m) -> bool:
 
 # -- the group, the loop and its section -------------------------------------------
 
+def group_identity(n: int) -> GroupElement:
+    """The identity g(0, 0, ..., 0, 0) of the group of dimension n + 2."""
+    return GroupElement(n, _ZERO, (_ZERO,) * n, _ZERO)
+
+
 def decompose(g: GroupElement) -> tuple[GroupElement, GroupElement]:
     """The factorization g = slice * h with slice = g(c, 0, b) and h = g(0, a, 0) in H."""
     return (GroupElement(g.n, g.c, (_ZERO,) * g.n, g.b),

@@ -98,27 +98,57 @@ def naive_eval(p, x):
     return total
 
 
+def plain_horner(p, x):
+    """Horner from the leading coefficient with a product and a sum at every step."""
+    result = p.coeffs[-1] if p.coeffs else Fraction(0)
+    for c in p.coeffs[-2::-1]:
+        result = result * x + c
+    return result
+
+
 def test_poly_eval_matches_the_naive_sum():
-    # the zero polynomial, constants, flat and nested polynomials at int,
-    # Fraction and Poly points (zero and constant Poly points included)
+    # The zero polynomial, constants, flat and nested polynomials, dense and
+    # sparse (u^2 + u^8, interior zeros), at int, Fraction and Poly points:
+    # int and Fraction 0, Poly() and constant Poly points included.  A scalar
+    # 0 gives the constant term and a Horner step skips a zero coefficient,
+    # so the value and hash must be the naive sum's and the plain scheme's,
+    # and the type the plain scheme's: a Fraction for a flat polynomial at a
+    # scalar.  A nested polynomial at a scalar 0 gives its constant term
+    # itself, which the plain scheme gives as an equal Poly.
     rng = random.Random(131)
 
     def flat(max_degree):
         return Poly([rand_fraction(rng) for _ in range(rng.randint(0, max_degree + 1))])
 
-    polys = [Poly(), Poly([F(-3, 4)]), Poly([0, 1])]
+    def nonzero():
+        return rng.choice((-1, 1)) * F(rng.randint(1, 9), rng.randint(1, 9))
+
+    def sparse(max_degree, coeff=nonzero):
+        return Poly([coeff() if rng.random() < 0.4 else 0
+                     for _ in range(rng.randint(0, max_degree))] + [coeff()])
+
+    polys = [Poly(), Poly([F(-3, 4)]), Poly([0, 1]), Poly([0, 0, 1, 0, 0, 0, 0, 0, 1]),
+             Poly([F(2, 3), 0, 0, -1]), Poly([0, F(1, 2), 0, 0, F(-5, 3)]),
+             Poly([0, Poly([0, 1]), 0, Poly([F(1, 2), 0, 3])]),
+             Poly([Poly([1, 1]), 0, Poly([0, 0, 2])])]
     polys += [flat(6) for _ in range(120)]
     polys += [Poly([flat(3) for _ in range(rng.randint(1, 4))]) for _ in range(60)]
-    points = [0, 1, -2, F(0), F(-5, 3), Poly(), Poly([F(2, 7)]), Poly([1, 1])]
+    polys += [sparse(8) for _ in range(100)]
+    polys += [sparse(4, lambda: sparse(3)) for _ in range(40)]
+    points = [0, 1, -2, 3, F(0), F(-5, 3), F(1, 2), Poly(), Poly([F(2, 7)]), Poly([1, 1]),
+              Poly([1, 0, 1])]
     for p in polys:
         nested = any(isinstance(c, Poly) for c in p.coeffs)
         for x in points + [rng.randint(-9, 9), rand_fraction(rng), flat(3)]:
-            got = p(x)
-            assert got == naive_eval(p, x)
-            assert isinstance(got, (Fraction, Poly))
+            got, plain, naive = p(x), plain_horner(p, x), naive_eval(p, x)
+            assert got == plain == naive and hash(got) == hash(plain) == hash(naive)
+            if nested and not isinstance(x, Poly) and x == 0:
+                assert got is p.coeffs[0]
+            else:
+                assert type(got) is type(plain)
             if p.is_zero or (not nested and not isinstance(x, Poly)):
                 assert type(got) is Fraction
-        for bad in (0.0, 1.5, True, False):
+        for bad in (0.0, -0.0, 1.5, True, False):
             with pytest.raises(TypeError):
                 p(bad)
 

@@ -26,6 +26,7 @@ from helpers import assert_same_as_checked, rand_fraction, rand_point, rand_prop
 from oracles import (
     coset_representative,
     decompose,
+    group_identity,
     left_translation,
     nested_comm_defect,
     section_solve,
@@ -250,7 +251,7 @@ def test_products_and_divisions_match_the_explicit_twist():
 # -- coset action (master oracle) ----------------------------------------------------
 
 def test_left_translation_examples():
-    assert left_translation(SQUARE, LoopPoint(0, 0)) == GroupElement.identity(1)
+    assert left_translation(SQUARE, LoopPoint(0, 0)) == group_identity(1)
     assert left_translation(SQUARE, LoopPoint(1, 5)) == GroupElement(1, F(1), (F(1),), F(5))
 
 
@@ -316,16 +317,43 @@ def test_comm_defect_examples():
 
 
 def test_twist_table_is_the_twist():
-    # sum_ij T[i][j] u1^i u2^j is the z-correction of lmul, and the table's
-    # side is max(n, deg v_j) + 1
+    # sum_ij T[i][j] u1^i u2^j is the z-correction of lmul, the table's side
+    # is max(n, deg v_j) + 1, and every entry, zeros included, is the Fraction
+    # (-1)^j [v_j]_i for 1 <= j <= n and 0 in column 0 and beyond column n
     rng = random.Random(83)
     for spec in twist_specs(83, 60):
         t = twist_table(spec)
         assert len(t) == max(spec.n, *(p.degree for p in spec.v)) + 1
         assert all(len(row) == len(t) and all(type(c) is Fraction for c in row) for row in t)
+        assert t == tuple(tuple((-1) ** j * spec.v[j - 1].coefficient(i) if 1 <= j <= spec.n else 0
+                                for j in range(len(t))) for i in range(len(t)))
         a, b = rand_point(rng), rand_point(rng)
         value = sum(c * a.u ** i * b.u ** j for i, row in enumerate(t) for j, c in enumerate(row))
         assert lmul(spec, a, b).z == a.z + b.z + value
+
+
+def test_signed_symmetric_matches_its_definition():
+    # seeded signed-symmetric matrices, and the same with one off-diagonal
+    # entry a_ij changed, at odd and even i + j, either shifted or set to a_ji
+    # (dropping the sign changes the matrix only at odd i + j)
+    rng = random.Random(101)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        a = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = rand_fraction(rng, -4, 4, 3)
+                a[j][i] = (-1) ** (i + j) * a[i][j]
+        parity = None
+        if n > 1 and rng.random() < 0.7:
+            i, j = rng.sample(range(n), 2)
+            parity = (i + j) % 2
+            a[i][j] = a[j][i] if rng.random() < 0.5 else a[i][j] + rand_fraction(rng, 1, 4, 3)
+        expected = all(a[i][j] == (-1) ** (i + j) * a[j][i] for i in range(n) for j in range(n))
+        assert CommMatrix(n, RatMatrix(tuple(map(tuple, a)))).signed_symmetric is expected
+        seen.add((parity, expected))
+    assert seen >= {(None, True), (0, True), (0, False), (1, True), (1, False)}
 
 
 def test_comm_defect_matches_the_nested_product_oracle():

@@ -27,7 +27,7 @@ from fililoop.mult import (
 )
 
 from helpers import rand_fraction, rand_poly, rand_proper_spec, twist_specs
-from oracles import monomial, nest_inner, nest_outer, nested_companion_residual
+from oracles import group_identity, monomial, nest_inner, nest_outer, nested_companion_residual
 
 
 def F(num, den=1):
@@ -230,7 +230,7 @@ def test_transversal_identity_matches_nested_product_oracle():
 def test_left_translation_family_examples():
     fam = LeftTranslationFamily(2, SQUARE_POLY)
     els = left_translation_elements(fam, [(F(0), F(0)), (F(1), F(0)), (F(0), F(5))])
-    assert els[0] == GroupElement.identity(2)
+    assert els[0] == group_identity(2)
     assert els[1] == GroupElement(2, F(1), (F(1), F(0)), F(-1, 2))
     assert els[2] == GroupElement(2, F(0), (F(0), F(0)), F(5))
 
@@ -319,7 +319,7 @@ def test_h_connected_cross_check_refuses_a_wrong_commutator(monkeypatch):
     trans = h_connected_transversal(SQUARE_POLY)
     lam = left_translation_elements(fam, grid_points(DEFAULT_GRID))
     t = transversal_elements(trans, grid_points(DEFAULT_GRID))
-    for name, wrong in (("commutator", lambda x, y: GroupElement.identity(x.n)), ("gmul", abelian)):
+    for name, wrong in (("commutator", lambda x, y: group_identity(x.n)), ("gmul", abelian)):
         with monkeypatch.context() as patch:
             patch.setattr(mult, name, wrong)
             with pytest.raises(RuntimeError):
@@ -330,7 +330,7 @@ def test_h_connected_cross_check_refuses_a_wrong_commutator(monkeypatch):
 def test_h_connected_against_identity():
     fam = LeftTranslationFamily(2, SQUARE_POLY)
     lam = left_translation_elements(fam, grid_points(DEFAULT_GRID))
-    assert check_h_connected(lam, [GroupElement.identity(2)]).ok
+    assert check_h_connected(lam, [group_identity(2)]).ok
 
 
 def test_h_membership_symmetric_in_commutator_order():
@@ -364,7 +364,7 @@ def test_generated_subalgebra_lambda_alone_is_proper():
 
 
 def test_generated_subalgebra_identity_only():
-    assert generated_subalgebra_of([GroupElement.identity(3)]).dimension == 0
+    assert generated_subalgebra_of([group_identity(3)]).dimension == 0
 
 
 # -- full pipeline -------------------------------------------------------------------------
